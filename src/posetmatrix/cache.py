@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 SCHEMA = 1
@@ -45,6 +47,14 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         record = {"schema": SCHEMA, "key": key}
         record.update(payload)
-        with open(self._path(key_text), "w") as fh:
-            fh.write(canonical_json(record))
-            fh.write("\n")
+        # write a temp file beside the entry and rename it into place, so a
+        # reader never sees a half-written entry
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(canonical_json(record))
+                fh.write("\n")
+            os.replace(tmp, self._path(key_text))
+        except BaseException:
+            os.unlink(tmp)
+            raise

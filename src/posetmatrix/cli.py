@@ -270,13 +270,19 @@ def _cmd_lubell(args) -> dict:
 
 def _cmd_verify(args, cache):
     name = args.check
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+
+    def trials(default: int) -> int:
+        return default if args.trials is None else args.trials
+
     if name == "all":
         checks = {}
         checks["countp"] = _verify_countp()
-        checks["counta"] = _verify_counta(args.trials or 50, args.seed)
-        checks["doublecount"] = _verify_doublecount(args.trials or 25, args.seed)
-        checks["lw"] = _verify_lw(args.trials or 1000, args.seed)
-        checks["blocks"] = _verify_blocks(args.trials or 100, args.seed)
+        checks["counta"] = _verify_counta(trials(50), args.seed)
+        checks["doublecount"] = _verify_doublecount(trials(25), args.seed)
+        checks["lw"] = _verify_lw(trials(1000), args.seed)
+        checks["blocks"] = _verify_blocks(trials(100), args.seed)
         checks["mt"] = _verify_mt(cache)
         checks["tardos-diamond"] = _verify_tardos(args.cap_override, cache)
         ok = all(c["ok"] for c in checks.values())
@@ -284,13 +290,13 @@ def _cmd_verify(args, cache):
     if name == "countp":
         result = _verify_countp()
     elif name == "counta":
-        result = _verify_counta(args.trials or 334, args.seed)
+        result = _verify_counta(trials(334), args.seed)
     elif name == "doublecount":
-        result = _verify_doublecount(args.trials or 50, args.seed)
+        result = _verify_doublecount(trials(50), args.seed)
     elif name == "lw":
-        result = _verify_lw(args.trials or 1000, args.seed)
+        result = _verify_lw(trials(1000), args.seed)
     elif name == "blocks":
-        result = _verify_blocks(args.trials or 100, args.seed)
+        result = _verify_blocks(trials(100), args.seed)
     elif name == "mt":
         result = _verify_mt(cache)
     else:

@@ -5,17 +5,25 @@ Both engines are include-first branch and bound over a fixed enumeration
 order, so ties break the same way every run and the reported witness is the
 lexicographically least maximum one.  Results are optionally cached on disk;
 cached witnesses are re-verified before being returned.
+
+The `ex` engine lists every copy of every pattern in the host once, as a
+bitmask over the host cells (`occurrence_masks`).  Cells are decided in lex
+order, so a cell may be set unless it is the last cell of a copy whose other
+cells are all set.  The bound counts live copies (no cell decided 0) whose
+undecided cells are pairwise disjoint: each forces one more 0 among the
+undecided cells.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .cache import ResultCache
 from .embed import degree_filter, find_order_embedding
 from .errors import CapExceeded
 from .family import SetFamily, family_contains
-from .hypermatrix import HyperMatrix, _match, all_cells, contains
+from .hypermatrix import HyperMatrix, all_cells, contains, occurrence_masks
 from .poset import Poset, diamond, enumerate_patterns
 
 ENGINE_VERSION = 1
@@ -90,7 +98,9 @@ def ex_exact(
         if hit is not None:
             wit = HyperMatrix(dims, tuple(tuple(c) for c in hit["witness"]))
             return _checked_ex(ExResult(int(hit["value"]), wit), pats)
-    value, ones = _ex_search(dims, pats)
+    cells = all_cells(dims)
+    value, chosen = _mask_search(len(cells), occurrence_masks(dims, pats))
+    ones = tuple(c for i, c in enumerate(cells) if chosen >> i & 1)
     result = _checked_ex(ExResult(value, HyperMatrix(dims, ones)), pats)
     if cache is not None:
         cache.put(key, {"value": result.value, "witness": [list(c) for c in ones]})
@@ -106,35 +116,40 @@ def _checked_ex(result: ExResult, pats) -> ExResult:
     return result
 
 
-def _ex_search(dims, pats):
-    cells = all_cells(dims)
-    total = len(cells)
-    cur: list[tuple[int, ...]] = []
-    best = -1
-    best_ones: tuple = ()
+def _mask_search(total: int, masks: list[int]) -> tuple[int, int]:
+    """Largest set of cells 0..total-1, as a bitmask, that contains no mask.
 
-    def fits(c) -> bool:
-        # cells arrive in lex order, so c is the lex-greatest 1 and any new
-        # pattern copy must use it as the image of the pattern's last 1
-        return all(not _match(dims, cur, a.dims, a.ones, pin_last=c) for a in pats)
-
-    def rec(pos: int) -> None:
-        nonlocal best, best_ones
-        if len(cur) + (total - pos) <= best:
-            return
+    Include-first search on an explicit stack, deciding cells in order.  It
+    cuts only nodes that cannot beat the best so far, so the result is the
+    first maximum set in search order: the lexicographically least.
+    """
+    # masks are sorted, so those with highest cell pos start at start[pos]
+    start = [bisect_left(masks, 1 << pos) for pos in range(total + 1)]
+    best, best_cur = -1, 0
+    stack = [(0, 0, 0)]  # next cell, chosen cells, their number
+    while stack:
+        pos, cur, ones = stack.pop()
+        slack = ones + total - pos - best
+        if slack <= 0:
+            continue
         if pos == total:
-            best = len(cur)
-            best_ones = tuple(cur)
-            return
-        c = cells[pos]
-        if fits(c):
-            cur.append(c)
-            rec(pos + 1)
-            cur.pop()
-        rec(pos + 1)
-
-    rec(0)
-    return best, best_ones
+            best, best_cur = ones, cur
+            continue
+        low = (1 << pos) - 1
+        taken = low & ~cur  # decided 0s, then the undecided cells of counted copies
+        for m in masks[start[pos] :]:  # the copies with an undecided cell
+            if not m & taken:
+                taken |= m & ~low
+                slack -= 1
+                if not slack:
+                    break
+        if not slack:
+            continue
+        bit = 1 << pos
+        stack.append((pos + 1, cur, ones))
+        if all(m & cur != m ^ bit for m in masks[start[pos] : start[pos + 1]]):
+            stack.append((pos + 1, cur | bit, ones + 1))
+    return best, best_cur
 
 
 def la_exact(
@@ -298,11 +313,18 @@ def random_free_matrix(dims, patterns, rng) -> HyperMatrix:
     each one that does not complete a forbidden pattern."""
     dims = tuple(int(x) for x in dims)
     pats = _check_patterns(dims, patterns)
-    cells = list(all_cells(dims))
-    rng.shuffle(cells)
-    ones: list[tuple[int, ...]] = []
-    for c in cells:
-        trial = sorted(ones + [c])
-        if not any(_match(dims, trial, a.dims, a.ones) for a in pats):
-            ones.append(c)
-    return HyperMatrix(dims, tuple(ones))
+    cells = all_cells(dims)
+    through: list[list[int]] = [[] for _ in cells]  # the masks holding each cell
+    for m in occurrence_masks(dims, pats):
+        for i in range(m.bit_length()):
+            if m >> i & 1:
+                through[i].append(m)
+    # shuffling positions permutes exactly as shuffling the cells would
+    order = list(range(len(cells)))
+    rng.shuffle(order)
+    cur = 0
+    for i in order:
+        bit = 1 << i
+        if all(m & cur != m ^ bit for m in through[i]):
+            cur |= bit
+    return HyperMatrix(dims, tuple(c for i, c in enumerate(cells) if cur >> i & 1))

@@ -6,7 +6,9 @@ strictly increasing index selections, one per axis and of the pattern's full
 side length, map every 1 of the pattern onto a 1 of the host.  The matcher
 walks the pattern's 1s in lexicographic order; images then also advance
 lexicographically, which caps the candidate pool and lets per-axis spacing
-constraints prune early.
+constraints prune early.  The `ex` search and the random sampler instead take
+every copy a box can hold at once, as bitmasks over its cells
+(`occurrence_masks`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from math import comb, prod
 
 from .errors import InvariantError
@@ -115,13 +117,8 @@ def _axis_ok(mp: dict, u: int, v: int, a_side: int, m_side: int) -> bool:
     return True
 
 
-def _match(m_dims, m_ones, a_dims, a_ones, pin_last: Coord | None = None) -> bool:
-    """Core matcher.  m_ones and a_ones are lexicographically sorted sequences.
-
-    With pin_last set, the lexicographically last 1 of the pattern is forced
-    onto that host coordinate; m_ones must then hold only host 1s that are
-    lexicographically smaller (the incremental-search case).
-    """
+def _match(m_dims, m_ones, a_dims, a_ones) -> bool:
+    """Core matcher.  m_ones and a_ones are lexicographically sorted sequences."""
     d = len(m_dims)
     if any(a_dims[j] > m_dims[j] for j in range(d)):
         return False
@@ -140,18 +137,13 @@ def _match(m_dims, m_ones, a_dims, a_ones, pin_last: Coord | None = None) -> boo
                 done.append((j, u))
         return done
 
-    todo = a_ones
-    if pin_last is not None:
-        if assign(a_ones[-1], pin_last) is None:
-            return False
-        todo = a_ones[:-1]
-    need = len(todo)
+    need = len(a_ones)
     pool = m_ones
 
     def dfs(t, start):
         if t == need:
             return True
-        one = todo[t]
+        one = a_ones[t]
         for idx in range(start, len(pool) - (need - t - 1)):
             placed = assign(one, pool[idx])
             if placed is None:
@@ -172,6 +164,34 @@ def contains(host: HyperMatrix, pattern: HyperMatrix) -> bool:
     if pattern.weight == 0:
         raise ValueError("pattern must have at least one 1-entry")
     return _match(host.dims, host.ones, pattern.dims, pattern.ones)
+
+
+def occurrence_masks(dims, patterns) -> list[int]:
+    """Every copy of every pattern in a dims-shaped box, as a bitmask over the
+    box's cells in `all_cells` order (bit i stands for the i-th cell).
+
+    A copy is the image of a pattern's 1s under one strictly increasing index
+    choice per axis, so a host contains some pattern exactly when some mask is
+    a subset of its 1s.  Duplicates are dropped, patterns larger than the box
+    have no copy, and the masks come sorted, hence grouped by highest cell.
+    """
+    dims = tuple(dims)
+    strides = [prod(dims[j + 1 :]) for j in range(len(dims))]
+    masks: set[int] = set()
+    for a in patterns:
+        if any(k > n for k, n in zip(a.dims, dims)):
+            continue
+        # per axis, each index choice as the bit offsets of the pattern's indices
+        axes = [
+            [tuple(v * strides[j] for v in pick) for pick in combinations(range(dims[j]), a.dims[j])]
+            for j in range(len(dims))
+        ]
+        for offsets in product(*axes):
+            m = 0
+            for one in a.ones:
+                m |= 1 << sum(offsets[j][u - 1] for j, u in enumerate(one))
+            masks.add(m)
+    return sorted(masks)
 
 
 # --- structural predicates -------------------------------------------------

@@ -172,6 +172,14 @@ def test_verify_commands_pass(capsys):
         assert obj["seed"] == 0
 
 
+def test_verify_rejects_bad_trials(capsys):
+    for check, trials in (("lw", "0"), ("lw", "-5"), ("blocks", "0")):
+        code, out, err = invoke(capsys, "--no-cache", "verify", check, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_all_aggregates(capsys):
     obj = invoke_json(
         capsys, "--no-cache", "--seed", "3", "verify", "all", "--trials", "5"

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetmatrix import (
     CapExceeded,
@@ -21,6 +23,7 @@ from posetmatrix import (
     vee,
 )
 from posetmatrix.extremal import _la_search
+from posetmatrix.hypermatrix import occurrence_masks
 from posetmatrix.rng import make_rng
 
 from conftest import brute_contains, brute_family_contains, mat
@@ -28,14 +31,18 @@ from conftest import brute_contains, brute_family_contains, mat
 
 def brute_ex(dims, patterns):
     """Max ones over every 0-1 matrix of the given shape."""
+    return brute_ex_witness(dims, patterns)[0]
+
+
+def brute_ex_witness(dims, patterns):
+    """The first free pick of the largest free size in combinations order,
+    which is the lexicographically least maximum witness."""
     cells = all_cells(dims)
-    best = 0
-    for r in range(len(cells), 0, -1):
+    for r in range(len(cells), -1, -1):
         for pick in combinations(cells, r):
             host = HyperMatrix(dims, pick)
             if not any(brute_contains(host, a) for a in patterns):
-                return r
-    return best
+                return r, pick
 
 
 def brute_la(n, p, induced):
@@ -67,6 +74,51 @@ def test_ex_matches_brute_force():
             assert ex_exact(dims, pats).value == brute_ex(dims, pats)
     diag = HyperMatrix((2, 2, 2), ((1, 1, 1), (2, 2, 2)))
     assert ex_exact((2, 2, 2), [diag]).value == brute_ex((2, 2, 2), [diag])
+
+
+@st.composite
+def small_boxes(draw, max_cells=9):
+    """Side lengths of a box with dimension 1..3 and at most max_cells cells."""
+    dims = []
+    room = max_cells
+    for _ in range(draw(st.integers(1, 3))):
+        side = draw(st.integers(1, room))
+        dims.append(side)
+        room //= side
+    return tuple(dims)
+
+
+@st.composite
+def ex_instances(draw):
+    """A small host shape and one or two nonzero patterns of its dimension;
+    a pattern may be larger than the host."""
+    dims = draw(small_boxes())
+    pats = []
+    for _ in range(draw(st.integers(1, 2))):
+        pdims = tuple(draw(st.integers(1, 3)) for _ in dims)
+        ones = draw(st.sets(st.sampled_from(all_cells(pdims)), min_size=1, max_size=4))
+        pats.append(HyperMatrix(pdims, tuple(ones)))
+    return dims, pats
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(ex_instances())
+def test_ex_matches_brute_force_witness(instance):
+    dims, pats = instance
+    res = ex_exact(dims, pats)
+    assert (res.value, res.witness.ones) == brute_ex_witness(dims, pats)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_occurrence_masks_decide_containment(data):
+    dims, pats = data.draw(ex_instances())
+    cells = all_cells(dims)
+    ones = data.draw(st.sets(st.sampled_from(cells)))
+    host = HyperMatrix(dims, tuple(ones))
+    bits = sum(1 << i for i, c in enumerate(cells) if c in ones)
+    masks = occurrence_masks(dims, pats)
+    assert any(m & bits == m for m in masks) == any(brute_contains(host, a) for a in pats)
 
 
 def test_ex_one_dim_full_patterns():
@@ -101,6 +153,8 @@ def test_ex_cap_and_override():
         ex_exact((7, 7), [id2])
     long_run = HyperMatrix((2,), ((1,), (2,)))
     assert ex_exact((40,), [long_run], allow_over_cap=True).value == 1
+    # one search level per cell: deeper than Python's recursion limit
+    assert ex_exact((1, 1200), [id2], allow_over_cap=True).value == 1200
 
 
 def test_ex_rejects_bad_input():
