@@ -1,4 +1,5 @@
-"""Backtracking injection search shared by order-into-order and order-into-family embedding.
+"""Backtracking injection search shared by order-into-order and order-into-family
+embedding, and by the enumeration of every copy of a poset in the cube.
 
 The target side is abstract: indices 0..T-1 with bitmask tables sup[t] / sub[t]
 listing the targets strictly above / below t.  The source is a poset-like
@@ -31,7 +32,7 @@ def degree_filter(p, sup: list[int], sub: list[int]) -> list[int]:
     return out
 
 
-def find_order_embedding(
+def order_embeddings(
     p,
     sup: list[int],
     sub: list[int],
@@ -39,26 +40,26 @@ def find_order_embedding(
     induced: bool,
     pin: tuple[int, int] | None = None,
     cand0: list[int] | None = None,
-) -> tuple[int, ...] | None:
-    """First injection of p into the targets of `universe`, or None.
+):
+    """Every embedding of p into the targets of `universe`, as tuples.
 
     `pin`, when given, forces source element pin[0] onto target pin[1].
-    Candidates are scanned in increasing target order, so the witness is
-    deterministic.  `cand0` may carry a precomputed degree_filter.
+    Source elements are placed in order and each one's candidates are
+    scanned in increasing target order, so the embeddings come in
+    lexicographic order.  `cand0` may carry a precomputed degree_filter.
     """
     k = p.n
     if k == 0:
-        return ()
+        yield ()
+        return
     if universe.bit_count() < k:
-        return None
+        return
     if cand0 is None:
         cand0 = degree_filter(p, sup, sub)
     assign = [0] * k
     less = p.less
 
-    def dfs(x: int, used: int) -> bool:
-        if x == k:
-            return True
+    def candidates(x: int, used: int) -> int:
         cand = universe & cand0[x] & ~used
         if pin is not None and pin[0] == x:
             cand &= 1 << pin[1]
@@ -71,13 +72,41 @@ def find_order_embedding(
             elif induced:
                 cand &= ~(sup[t] | sub[t])
             if not cand:
-                return False
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            assign[x] = low.bit_length() - 1
-            if dfs(x + 1, used | low):
-                return True
-        return False
+                break
+        return cand
 
-    return tuple(assign) if dfs(0, 0) else None
+    # depth-first on an explicit stack: left[x] holds the untried candidates
+    # of element x, used the targets of elements 0..x-1
+    left = [0] * k
+    left[0] = candidates(0, 0)
+    x, used = 0, 0
+    while x >= 0:
+        cand = left[x]
+        if not cand:
+            x -= 1
+            if x >= 0:
+                used ^= 1 << assign[x]
+            continue
+        low = cand & -cand
+        left[x] = cand ^ low
+        assign[x] = low.bit_length() - 1
+        if x + 1 == k:
+            yield tuple(assign)
+        else:
+            used |= low
+            x += 1
+            left[x] = candidates(x, used)
+
+
+def find_order_embedding(
+    p,
+    sup: list[int],
+    sub: list[int],
+    universe: int,
+    induced: bool,
+    pin: tuple[int, int] | None = None,
+    cand0: list[int] | None = None,
+) -> tuple[int, ...] | None:
+    """First embedding of p into the targets of `universe`, or None: the
+    first of `order_embeddings`, so the witness is deterministic."""
+    return next(order_embeddings(p, sup, sub, universe, induced, pin, cand0), None)

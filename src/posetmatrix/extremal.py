@@ -1,17 +1,22 @@
 """Exact extremal search: most 1s avoiding patterns, largest families
 avoiding a poset.
 
-Both engines are include-first branch and bound over a fixed enumeration
-order, so ties break the same way every run and the reported witness is the
-lexicographically least maximum one.  Results are optionally cached on disk;
-cached witnesses are re-verified before being returned.
+Both are one engine: list every forbidden copy once, as a bitmask over a
+fixed order of positions, then find the largest set of positions that holds
+no mask.  For `ex` the positions are the host cells in `all_cells` order and
+the masks every copy of every pattern (`hypermatrix.occurrence_masks`); for
+`la` they are the subsets of {1..n}, smaller first (`family.cube_order`),
+and the masks the image sets of every weak or induced embedding of the
+poset (`family.occurrence_masks`).
 
-The `ex` engine lists every copy of every pattern in the host once, as a
-bitmask over the host cells (`occurrence_masks`).  Cells are decided in lex
-order, so a cell may be set unless it is the last cell of a copy whose other
-cells are all set.  The bound counts live copies (no cell decided 0) whose
-undecided cells are pairwise disjoint: each forces one more 0 among the
-undecided cells.
+The search is include-first branch and bound deciding positions in order,
+so ties break the same way every run and the reported witness is the
+lexicographically least maximum one.  A position may be taken unless it is
+the last of a mask whose other positions are all taken.  The bound counts
+live masks (no position decided out) whose undecided positions are pairwise
+disjoint: each forces one more position out.  Results are optionally cached
+on disk; cached witnesses are re-verified before being returned, and one
+that fails is recomputed.
 """
 
 from __future__ import annotations
@@ -20,15 +25,20 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .cache import ResultCache
-from .embed import degree_filter, find_order_embedding
 from .errors import CapExceeded
-from .family import SetFamily, family_contains
+from .family import SetFamily, cube_order, family_contains
+from .family import occurrence_masks as family_masks
 from .hypermatrix import HyperMatrix, all_cells, contains, occurrence_masks
 from .poset import Poset, diamond, enumerate_patterns
 
 ENGINE_VERSION = 1
 DEFAULT_CELL_CAP = 36
 DEFAULT_LA_CAP = 5
+
+# a cached entry that raises one of these while it is decoded or re-checked
+# is corrupt or was written by a faulty engine: it counts as a miss, and the
+# recomputed result overwrites it.  A fresh result that fails still raises.
+_BAD_ENTRY = (RuntimeError, ValueError, KeyError, TypeError)
 
 
 class ExResult(NamedTuple):
@@ -96,8 +106,11 @@ def ex_exact(
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
-            wit = HyperMatrix(dims, tuple(tuple(c) for c in hit["witness"]))
-            return _checked_ex(ExResult(int(hit["value"]), wit), pats)
+            try:
+                wit = HyperMatrix(dims, tuple(tuple(c) for c in hit["witness"]))
+                return _checked_ex(ExResult(int(hit["value"]), wit), pats)
+            except _BAD_ENTRY:
+                pass
     cells = all_cells(dims)
     value, chosen = _mask_search(len(cells), occurrence_masks(dims, pats))
     ones = tuple(c for i, c in enumerate(cells) if chosen >> i & 1)
@@ -182,10 +195,14 @@ def la_exact(
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
-            fam = SetFamily.from_sets(n, hit["witness"])
-            return _checked_la(LaResult(int(hit["value"]), fam), p, induced)
-    value, masks = _la_search(n, p, induced)
-    fam = SetFamily(n, masks)
+            try:
+                fam = SetFamily.from_sets(n, hit["witness"])
+                return _checked_la(LaResult(int(hit["value"]), fam), p, induced)
+            except _BAD_ENTRY:
+                pass
+    ground = cube_order(n)
+    value, chosen = _mask_search(len(ground), family_masks(n, p, induced))
+    fam = SetFamily(n, tuple(s for i, s in enumerate(ground) if chosen >> i & 1))
     result = _checked_la(LaResult(value, fam), p, induced)
     if cache is not None:
         cache.put(key, {"value": result.value, "witness": [sorted(s) for s in fam.sets()]})
@@ -198,84 +215,6 @@ def _checked_la(result: LaResult, p: Poset, induced: bool) -> LaResult:
     if family_contains(result.witness, p, induced):
         raise RuntimeError("family witness contains the forbidden poset")
     return result
-
-
-def _la_search(n: int, p: Poset, induced: bool):
-    ground = sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
-    total = len(ground)
-    cur: list[int] = []
-    best = -1
-    best_masks: tuple = ()
-    is_chain = not p.incomparable_pairs()
-
-    # sup/sub tables over positions in cur, grown and shrunk with the stack.
-    # ground is size-sorted, so a new set is never strictly below an old one.
-    sup: list[int] = []
-    sub: list[int] = []
-    down_len: list[int] = []  # longest chain ending at cur[i], chain fast path
-
-    def fits_chain(s: int) -> bool:
-        longest = 1
-        for i, m in enumerate(cur):
-            if m != s and m & ~s == 0:
-                longest = max(longest, down_len[i] + 1)
-        return longest <= p.n - 1
-
-    def push(s: int) -> None:
-        t = len(cur)
-        below = 0
-        longest = 1
-        for i, m in enumerate(cur):
-            if m != s and m & ~s == 0:
-                below |= 1 << i
-                sup[i] |= 1 << t
-                longest = max(longest, down_len[i] + 1)
-        cur.append(s)
-        sup.append(0)
-        sub.append(below)
-        down_len.append(longest)
-
-    def pop() -> None:
-        t = len(cur) - 1
-        cur.pop()
-        sup.pop()
-        sub.pop()
-        down_len.pop()
-        for i in range(t):
-            sup[i] &= ~(1 << t)
-
-    def fits_generic(s: int) -> bool:
-        push(s)
-        t = len(cur) - 1
-        universe = (1 << len(cur)) - 1
-        cand0 = degree_filter(p, sup, sub)
-        found = False
-        for src in range(p.n):
-            if find_order_embedding(p, sup, sub, universe, induced, pin=(src, t), cand0=cand0):
-                found = True
-                break
-        pop()
-        return not found
-
-    fits = fits_chain if is_chain else fits_generic
-
-    def rec(pos: int) -> None:
-        nonlocal best, best_masks
-        if len(cur) + (total - pos) <= best:
-            return
-        if pos == total:
-            best = len(cur)
-            best_masks = tuple(cur)
-            return
-        s = ground[pos]
-        if fits(s):
-            push(s)
-            rec(pos + 1)
-            pop()
-        rec(pos + 1)
-
-    rec(0)
-    return best, best_masks
 
 
 def ex_monotonicity_check(pattern: HyperMatrix, small, big, **caps) -> MonotonicityResult:

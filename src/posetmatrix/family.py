@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .embed import degree_filter, find_order_embedding
+from .embed import degree_filter, find_order_embedding, order_embeddings
 from .errors import InvariantError
 
 
@@ -117,6 +117,27 @@ def family_contains(fam: SetFamily, p, induced: bool) -> bool:
     return find_embedding(fam, p, induced) is not None
 
 
+def cube_order(n: int) -> list[int]:
+    """Every subset of {1..n} as a mask, smaller sets first, then by mask
+    value: the order in which `la_exact` decides the sets."""
+    return sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
+
+
+def occurrence_masks(n: int, p, induced: bool) -> list[int]:
+    """Every copy of poset p among the subsets of {1..n}, as a bitmask over
+    the subsets in `cube_order` (bit i stands for the i-th set).
+
+    A copy is the image set of one embedding, weak or induced.  Whether a set
+    of members is an induced copy depends only on those members, so a family
+    contains p exactly when some mask is a subset of its members.  The images
+    of embeddings that differ by an automorphism of p coincide and are kept
+    once; the masks come sorted, hence grouped by highest set.
+    """
+    sup, sub = _inclusion_tables(cube_order(n))
+    embeddings = order_embeddings(p, sup, sub, (1 << len(sup)) - 1, induced)
+    return sorted({sum(1 << t for t in image) for image in embeddings})
+
+
 def lubell(fam: SetFamily) -> Fraction:
     """Sum of 1/C(n, |S|) over members; at most the number of maximal chains
     through any one set, so antichains give at most 1."""
@@ -143,6 +164,4 @@ def middle_levels(n: int, m: int) -> SetFamily:
     # center the window: lowest included size is ceil((n-m+1)/2)
     lo = max(0, -(-(n - m + 1) // 2))
     hi = lo + m - 1
-    masks = [s for s in range(1 << n) if lo <= s.bit_count() <= hi]
-    masks.sort(key=lambda s: (s.bit_count(), s))
-    return SetFamily(n, tuple(masks))
+    return SetFamily(n, tuple(s for s in cube_order(n) if lo <= s.bit_count() <= hi))

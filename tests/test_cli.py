@@ -134,6 +134,29 @@ def test_cache_reuse_is_transparent(tmp_path, capsys):
     assert cold == warm
 
 
+def test_failed_cache_recheck_is_a_miss(tmp_path, capsys):
+    pat = tmp_path / "id2.json"
+    dump_matrix(identity_matrix(2), pat)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    forged = {
+        "ex": [[1, 1], [2, 2]],  # holds the identity pattern
+        "la": [[], [1], [2], [1, 2]],  # holds an induced diamond
+    }
+    for argv in (
+        ["ex", "--dims", "3,3", "--pattern", str(pat)],
+        ["la", "--n", "3", "--poset", "diamond", "--mode", "induced"],
+    ):
+        code, cold, _ = invoke(capsys, *cache, *argv)
+        assert code == 0
+        [entry] = (tmp_path / "cache").glob("*.json")
+        record = json.loads(entry.read_text())
+        entry.write_text(json.dumps(dict(record, witness=forged[argv[0]])))
+        code, again, err = invoke(capsys, *cache, *argv)
+        assert (code, again, err) == (0, cold, "")
+        assert json.loads(entry.read_text()) == record
+        entry.unlink()
+
+
 def test_tsv_format(capsys):
     code, out, err = invoke(capsys, "--format", "tsv", "poset", "info", "chain:2")
     assert code == 0

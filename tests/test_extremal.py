@@ -1,9 +1,11 @@
+import json
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetmatrix import extremal
 from posetmatrix import (
     CapExceeded,
     HyperMatrix,
@@ -18,11 +20,13 @@ from posetmatrix import (
     ex_monotonicity_check,
     identity_matrix,
     la_exact,
+    middle_levels,
     random_free_matrix,
     tardos_diamond_check,
     vee,
 )
-from posetmatrix.extremal import _la_search
+from posetmatrix.family import cube_order
+from posetmatrix.family import occurrence_masks as family_masks
 from posetmatrix.hypermatrix import occurrence_masks
 from posetmatrix.rng import make_rng
 
@@ -46,13 +50,18 @@ def brute_ex_witness(dims, patterns):
 
 
 def brute_la(n, p, induced):
-    masks = list(range(1 << n))
-    for size in range(len(masks), 0, -1):
-        for pick in combinations(masks, size):
-            fam = SetFamily(n, pick)
-            if not brute_family_contains(fam, p, induced):
-                return size
-    return 0
+    return brute_la_witness(n, p, induced)[0]
+
+
+def brute_la_witness(n, p, induced):
+    """The first free pick of the largest free size in combinations order
+    over the sets sorted by (size, value), which is the lexicographically
+    least maximum witness."""
+    ground = sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
+    for size in range(len(ground), -1, -1):
+        for pick in combinations(ground, size):
+            if not brute_family_contains(SetFamily(n, pick), p, induced):
+                return size, pick
 
 
 def test_ex_known_2dim_values():
@@ -180,6 +189,37 @@ def test_ex_cache_round_trip(tmp_cache):
     assert ex_exact((4, 4), [id2], cache=tmp_cache) == cold
 
 
+def _forge_entry(cache, value, witness):
+    """Overwrite the cache's only entry with a forged value and witness."""
+    [entry] = cache.root.glob("*.json")
+    record = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(record, value=value, witness=witness)))
+    return entry, record
+
+
+def test_cached_entry_failing_recheck_is_recomputed(tmp_cache):
+    id2 = identity_matrix(2)
+    cold = ex_exact((3, 3), [id2], cache=tmp_cache)
+    entry, record = _forge_entry(tmp_cache, 6, [[1, 1], [1, 2], [1, 3], [2, 1], [3, 1], [3, 3]])
+    assert ex_exact((3, 3), [id2], cache=tmp_cache) == cold
+    assert json.loads(entry.read_text()) == record
+    entry.unlink()
+    cold = la_exact(3, diamond(), True, cache=tmp_cache)
+    entry, record = _forge_entry(tmp_cache, 4, [[], [1], [2], [1, 2]])
+    assert la_exact(3, diamond(), True, cache=tmp_cache) == cold
+    assert json.loads(entry.read_text()) == record
+
+
+def test_fresh_result_failing_recheck_raises(tmp_cache, monkeypatch):
+    # an engine fault that takes every position must not pass or be cached
+    monkeypatch.setattr(extremal, "_mask_search", lambda total, masks: (total, (1 << total) - 1))
+    with pytest.raises(RuntimeError, match="forbidden pattern"):
+        ex_exact((3, 3), [identity_matrix(2)], cache=tmp_cache)
+    with pytest.raises(RuntimeError, match="forbidden poset"):
+        la_exact(3, diamond(), True, cache=tmp_cache)
+    assert not list(tmp_cache.root.glob("*.json"))
+
+
 def test_la_chain_matches_erdos():
     for n in range(0, 5):
         for k in range(2, 5):
@@ -203,27 +243,44 @@ def test_la_matches_brute_force():
                 )
 
 
-class _ChainNoShortcut:
-    """Chain poset that hides its chain-ness from the search dispatcher."""
-
-    def __init__(self, k):
-        inner = chain(k)
-        self.n = inner.n
-        self.up = inner.up
-        self.down = inner.down
-        self.less = inner.less
-
-    def incomparable_pairs(self):
-        return [None]
+def test_la_diamond_five():
+    # the two middle levels, in both modes
+    for induced in (False, True):
+        res = la_exact(5, diamond(), induced)
+        assert res.value == 20
+        assert res.witness.masks == middle_levels(5, 2).masks
 
 
-def test_la_generic_agrees_with_chain_shortcut():
-    for n in (2, 3, 4):
-        for k in (2, 3):
-            value, _ = _la_search(n, _ChainNoShortcut(k), False)
-            assert value == erdos_bound(n, k)
-            induced, _ = _la_search(n, _ChainNoShortcut(k), True)
-            assert induced == erdos_bound(n, k)
+@st.composite
+def small_posets(draw, max_size=3):
+    """A poset on at most max_size elements, from relations i < j closed
+    transitively; every poset has a linear extension, so this draws every
+    shape."""
+    k = draw(st.integers(1, max_size))
+    labels = [str(i) for i in range(k)]
+    pairs = draw(st.sets(st.sampled_from(list(combinations(labels, 2))))) if k > 1 else set()
+    return Poset.from_pairs(labels, pairs, close=True)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 3), small_posets(), st.booleans())
+def test_la_matches_brute_force_witness(n, p, induced):
+    res = la_exact(n, p, induced)
+    assert (res.value, res.witness.masks) == brute_la_witness(n, p, induced)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_family_masks_decide_containment(data):
+    n = data.draw(st.integers(0, 3))
+    p = data.draw(small_posets())
+    induced = data.draw(st.booleans())
+    ground = cube_order(n)
+    picked = data.draw(st.sets(st.integers(0, len(ground) - 1)))
+    fam = SetFamily(n, tuple(ground[i] for i in sorted(picked)))
+    bits = sum(1 << i for i in picked)
+    masks = family_masks(n, p, induced)
+    assert any(m & bits == m for m in masks) == brute_family_contains(fam, p, induced)
 
 
 def test_la_witness_checked(tmp_cache):
@@ -240,6 +297,8 @@ def test_la_cap_and_errors():
         la_exact(6, chain(2), False)
     with pytest.raises(ValueError, match="nonempty"):
         la_exact(2, Poset((), ()), False)
+    # one search level per set: deeper than Python's recursion limit
+    assert la_exact(10, chain(1), False, allow_over_cap=True).value == 0
 
 
 def test_monotonicity_check():
