@@ -227,6 +227,27 @@ def test_la_chain_matches_erdos():
             assert la_exact(n, chain(k), True).value == erdos_bound(n, k)
 
 
+def test_la_generic_agrees_with_chain_shortcut():
+    # the generic mask search, run directly, reproduces the chain closed form,
+    # also for a chain whose elements are listed top first
+    for n in (2, 3, 4):
+        for k in (2, 3):
+            top_first = Poset(
+                tuple(f"b{i}" for i in range(k)),
+                tuple(sum(1 << j for j in range(i)) for i in range(k)),
+            )
+            for p in (chain(k), top_first):
+                for induced in (False, True):
+                    ground = cube_order(n)
+                    value, chosen = extremal._mask_search(
+                        len(ground), family_masks(n, p, induced)
+                    )
+                    assert value == erdos_bound(n, k)
+                    assert bin(chosen).count("1") == value
+                    fam = SetFamily(n, tuple(s for i, s in enumerate(ground) if chosen >> i & 1))
+                    assert not brute_family_contains(fam, p, induced)
+
+
 def test_la_single_element_poset():
     res = la_exact(3, chain(1), False)
     assert res.value == 0 and res.witness.size == 0
