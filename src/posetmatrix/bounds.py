@@ -135,9 +135,9 @@ def e_estimate(p: Poset, induced: bool, n_max: int = 6) -> int:
     return est
 
 
-def _pattern_side_cap(d: int, cell_cap: int) -> int:
+def _pattern_side_cap(d: int) -> int:
     n = 1
-    while (n + 1) ** d <= cell_cap:
+    while (n + 1) ** d <= DEFAULT_CELL_CAP:
         n += 1
     return min(4, n)
 
@@ -148,8 +148,6 @@ def induced_bound_pipeline(
     supplied=None,
     n_max: int = 4,
     *,
-    size_cap: int = 8,
-    cell_cap: int = DEFAULT_CELL_CAP,
     cache=None,
 ) -> dict:
     """Middle-binomial induced-bound coefficient via the poset's permutation
@@ -160,7 +158,7 @@ def induced_bound_pipeline(
     density constant), "exact" (empirical max of ex/n^(d-1) at small n, not
     a proof), or "supplied".
     """
-    d, realizer = dimension(p, size_cap=size_cap)
+    d, realizer = dimension(p)
     if d < 2:
         raise ValueError(
             "total orders stay 1-dimensional; use the chain bound directly"
@@ -172,12 +170,10 @@ def induced_bound_pipeline(
         k_value = Fraction(MT_K2)
         provenance = "marcus-tardos-constant(k=2)"
     elif k_source == "exact":
-        n_hi = min(n_max, _pattern_side_cap(d, cell_cap))
+        n_hi = min(n_max, _pattern_side_cap(d))
         best = Fraction(0)
         for n in range(1, n_hi + 1):
-            value = ex_exact(
-                (n,) * d, [pattern], cell_cap=cell_cap, cache=cache
-            ).value
+            value = ex_exact((n,) * d, [pattern], cache=cache).value
             best = max(best, Fraction(value, n ** (d - 1)))
         k_value = best
         provenance = f"empirical max ex/n^(d-1) over n<={n_hi}; not a proof"

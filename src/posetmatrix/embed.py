@@ -12,7 +12,8 @@ from __future__ import annotations
 
 
 def degree_filter(p, sup: list[int], sub: list[int]) -> list[int]:
-    """cand0[x]: targets whose up/down degrees can accommodate source element x.
+    """For each source element x, the bitmask of targets whose up/down
+    degrees can accommodate x.
 
     Valid for both modes: any embedding maps the up-set of x injectively into
     the up-set of its image, and likewise below.
@@ -32,21 +33,12 @@ def degree_filter(p, sup: list[int], sub: list[int]) -> list[int]:
     return out
 
 
-def order_embeddings(
-    p,
-    sup: list[int],
-    sub: list[int],
-    universe: int,
-    induced: bool,
-    pin: tuple[int, int] | None = None,
-    cand0: list[int] | None = None,
-):
+def order_embeddings(p, sup: list[int], sub: list[int], universe: int, induced: bool):
     """Every embedding of p into the targets of `universe`, as tuples.
 
-    `pin`, when given, forces source element pin[0] onto target pin[1].
     Source elements are placed in order and each one's candidates are
     scanned in increasing target order, so the embeddings come in
-    lexicographic order.  `cand0` may carry a precomputed degree_filter.
+    lexicographic order.
     """
     k = p.n
     if k == 0:
@@ -54,15 +46,12 @@ def order_embeddings(
         return
     if universe.bit_count() < k:
         return
-    if cand0 is None:
-        cand0 = degree_filter(p, sup, sub)
+    allowed = degree_filter(p, sup, sub)
     assign = [0] * k
     less = p.less
 
     def candidates(x: int, used: int) -> int:
-        cand = universe & cand0[x] & ~used
-        if pin is not None and pin[0] == x:
-            cand &= 1 << pin[1]
+        cand = universe & allowed[x] & ~used
         for y in range(x):
             t = assign[y]
             if less(y, x):
@@ -99,14 +88,8 @@ def order_embeddings(
 
 
 def find_order_embedding(
-    p,
-    sup: list[int],
-    sub: list[int],
-    universe: int,
-    induced: bool,
-    pin: tuple[int, int] | None = None,
-    cand0: list[int] | None = None,
+    p, sup: list[int], sub: list[int], universe: int, induced: bool
 ) -> tuple[int, ...] | None:
     """First embedding of p into the targets of `universe`, or None: the
     first of `order_embeddings`, so the witness is deterministic."""
-    return next(order_embeddings(p, sup, sub, universe, induced, pin, cand0), None)
+    return next(order_embeddings(p, sup, sub, universe, induced), None)

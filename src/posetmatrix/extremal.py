@@ -14,9 +14,12 @@ so ties break the same way every run and the reported witness is the
 lexicographically least maximum one.  A position may be taken unless it is
 the last of a mask whose other positions are all taken.  The bound counts
 live masks (no position decided out) whose undecided positions are pairwise
-disjoint: each forces one more position out.  Results are optionally cached
-on disk; cached witnesses are re-verified before being returned, and one
-that fails is recomputed.
+disjoint: each forces one more position out.
+
+Both also share one solve path (`_solve`) around the search: the size cap,
+the optional on-disk cache, and an independent re-check of every witness,
+fresh or cached.  `ex_exact` and `la_exact` supply only their cache key,
+search, entry codec and re-check.
 """
 
 from __future__ import annotations
@@ -35,10 +38,9 @@ ENGINE_VERSION = 1
 DEFAULT_CELL_CAP = 36
 DEFAULT_LA_CAP = 5
 
-# a cached entry that raises one of these while it is decoded or re-checked
-# is corrupt or was written by a faulty engine: it counts as a miss, and the
-# recomputed result overwrites it.  A fresh result that fails still raises.
-_BAD_ENTRY = (RuntimeError, ValueError, KeyError, TypeError)
+# what a corrupt cached entry raises while it is decoded or re-checked; json
+# reads Infinity and 1e999 as inf, on which int() raises OverflowError
+_BAD_ENTRY = (RuntimeError, ValueError, KeyError, TypeError, OverflowError)
 
 
 class ExResult(NamedTuple):
@@ -79,7 +81,6 @@ def ex_exact(
     dims,
     patterns,
     *,
-    cell_cap: int = DEFAULT_CELL_CAP,
     allow_over_cap: bool = False,
     cache: ResultCache | None = None,
 ) -> ExResult:
@@ -92,40 +93,111 @@ def ex_exact(
     total = 1
     for x in dims:
         total *= x
-    if total > cell_cap and not allow_over_cap:
-        raise CapExceeded(
-            f"{total} cells exceeds the exact search cap ({cell_cap}); "
-            "pass allow_over_cap=True (CLI: --cap-override) to run anyway"
-        )
     key = {
         "kind": "ex",
         "engine": ENGINE_VERSION,
         "dims": list(dims),
         "patterns": [a.to_obj() for a in pats],
     }
+
+    def search() -> ExResult:
+        cells = all_cells(dims)
+        value, chosen = _mask_search(len(cells), occurrence_masks(dims, pats))
+        ones = tuple(c for i, c in enumerate(cells) if chosen >> i & 1)
+        return ExResult(value, HyperMatrix(dims, ones))
+
+    def decode(hit) -> ExResult:
+        ones = tuple(tuple(c) for c in hit["witness"])
+        return ExResult(int(hit["value"]), HyperMatrix(dims, ones))
+
+    def encode(result: ExResult) -> dict:
+        return {"value": result.value, "witness": result.witness.to_obj()["ones"]}
+
+    def recheck(result: ExResult) -> None:
+        if result.witness.weight != result.value:
+            raise RuntimeError("extremal witness does not attain the reported value")
+        if any(contains(result.witness, a) for a in pats):
+            raise RuntimeError("extremal witness contains a forbidden pattern")
+
+    return _solve(
+        total, DEFAULT_CELL_CAP, f"{total} cells", allow_over_cap,
+        key, cache, search, decode, encode, recheck,
+    )
+
+
+def la_exact(
+    n: int,
+    p: Poset,
+    induced: bool,
+    *,
+    allow_over_cap: bool = False,
+    cache: ResultCache | None = None,
+) -> LaResult:
+    """Largest family of subsets of {1..n} with no copy of p in the
+    inclusion order (no induced copy when induced=True)."""
+    if n < 0:
+        raise ValueError(f"bad ground set size {n}")
+    if p.n == 0:
+        raise ValueError("the forbidden poset must be nonempty")
+    key = {
+        "kind": "la",
+        "engine": ENGINE_VERSION,
+        "n": n,
+        "poset": p.to_obj(),
+        "induced": induced,
+    }
+
+    def search() -> LaResult:
+        ground = cube_order(n)
+        value, chosen = _mask_search(len(ground), family_masks(n, p, induced))
+        masks = tuple(s for i, s in enumerate(ground) if chosen >> i & 1)
+        return LaResult(value, SetFamily(n, masks))
+
+    def decode(hit) -> LaResult:
+        return LaResult(int(hit["value"]), SetFamily.from_sets(n, hit["witness"]))
+
+    def encode(result: LaResult) -> dict:
+        return {"value": result.value, "witness": result.witness.to_obj()["sets"]}
+
+    def recheck(result: LaResult) -> None:
+        if result.witness.size != result.value:
+            raise RuntimeError("family witness does not attain the reported value")
+        if family_contains(result.witness, p, induced):
+            raise RuntimeError("family witness contains the forbidden poset")
+
+    return _solve(
+        n, DEFAULT_LA_CAP, f"ground set size {n}", allow_over_cap,
+        key, cache, search, decode, encode, recheck,
+    )
+
+
+def _solve(size, cap, size_text, allow_over_cap, key, cache, search, decode, encode, recheck):
+    """The size cap, cache policy and witness re-check of `ex_exact` and
+    `la_exact` around their `search`.
+
+    A cached entry is returned only if `decode` reads it and `recheck`
+    passes it; one that raises `_BAD_ENTRY` either way counts as a miss, and
+    the recomputed result overwrites it.  A fresh result that fails
+    `recheck` raises and is not stored.
+    """
+    if size > cap and not allow_over_cap:
+        raise CapExceeded(
+            f"{size_text} exceeds the exact search cap ({cap}); "
+            "pass allow_over_cap=True (CLI: --cap-override) to run anyway"
+        )
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             try:
-                wit = HyperMatrix(dims, tuple(tuple(c) for c in hit["witness"]))
-                return _checked_ex(ExResult(int(hit["value"]), wit), pats)
+                result = decode(hit)
+                recheck(result)
+                return result
             except _BAD_ENTRY:
                 pass
-    cells = all_cells(dims)
-    value, chosen = _mask_search(len(cells), occurrence_masks(dims, pats))
-    ones = tuple(c for i, c in enumerate(cells) if chosen >> i & 1)
-    result = _checked_ex(ExResult(value, HyperMatrix(dims, ones)), pats)
+    result = search()
+    recheck(result)
     if cache is not None:
-        cache.put(key, {"value": result.value, "witness": [list(c) for c in ones]})
-    return result
-
-
-def _checked_ex(result: ExResult, pats) -> ExResult:
-    if result.witness.weight != result.value:
-        raise RuntimeError("extremal witness does not attain the reported value")
-    for a in pats:
-        if contains(result.witness, a):
-            raise RuntimeError("extremal witness contains a forbidden pattern")
+        cache.put(key, encode(result))
     return result
 
 
@@ -163,58 +235,6 @@ def _mask_search(total: int, masks: list[int]) -> tuple[int, int]:
         if all(m & cur != m ^ bit for m in masks[start[pos] : start[pos + 1]]):
             stack.append((pos + 1, cur | bit, ones + 1))
     return best, best_cur
-
-
-def la_exact(
-    n: int,
-    p: Poset,
-    induced: bool,
-    *,
-    n_cap: int = DEFAULT_LA_CAP,
-    allow_over_cap: bool = False,
-    cache: ResultCache | None = None,
-) -> LaResult:
-    """Largest family of subsets of {1..n} with no copy of p in the
-    inclusion order (no induced copy when induced=True)."""
-    if n < 0:
-        raise ValueError(f"bad ground set size {n}")
-    if p.n == 0:
-        raise ValueError("the forbidden poset must be nonempty")
-    if n > n_cap and not allow_over_cap:
-        raise CapExceeded(
-            f"ground set size {n} exceeds the exact search cap ({n_cap}); "
-            "pass allow_over_cap=True (CLI: --cap-override) to run anyway"
-        )
-    key = {
-        "kind": "la",
-        "engine": ENGINE_VERSION,
-        "n": n,
-        "poset": p.to_obj(),
-        "induced": induced,
-    }
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            try:
-                fam = SetFamily.from_sets(n, hit["witness"])
-                return _checked_la(LaResult(int(hit["value"]), fam), p, induced)
-            except _BAD_ENTRY:
-                pass
-    ground = cube_order(n)
-    value, chosen = _mask_search(len(ground), family_masks(n, p, induced))
-    fam = SetFamily(n, tuple(s for i, s in enumerate(ground) if chosen >> i & 1))
-    result = _checked_la(LaResult(value, fam), p, induced)
-    if cache is not None:
-        cache.put(key, {"value": result.value, "witness": [sorted(s) for s in fam.sets()]})
-    return result
-
-
-def _checked_la(result: LaResult, p: Poset, induced: bool) -> LaResult:
-    if result.witness.size != result.value:
-        raise RuntimeError("family witness does not attain the reported value")
-    if family_contains(result.witness, p, induced):
-        raise RuntimeError("family witness contains the forbidden poset")
-    return result
 
 
 def ex_monotonicity_check(pattern: HyperMatrix, small, big, **caps) -> MonotonicityResult:

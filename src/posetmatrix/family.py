@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .embed import degree_filter, find_order_embedding, order_embeddings
+from .embed import find_order_embedding, order_embeddings
 from .errors import InvariantError
 
 
@@ -89,28 +89,17 @@ def _inclusion_tables(masks):
     return sup, sub
 
 
-def find_embedding(fam: SetFamily, p, induced: bool, require: int | None = None):
+def find_embedding(fam: SetFamily, p, induced: bool):
     """An injection of poset p into the family (subset order), or None.
 
-    induced=True also forbids extra inclusions between image sets.  require
-    pins a family member index that the image must use.
+    induced=True also forbids extra inclusions between image sets.
     """
     if p.n == 0:
         return ()
     if p.n > fam.size:
         return None
     sup, sub = _inclusion_tables(fam.masks)
-    cand0 = degree_filter(p, sup, sub)
-    universe = (1 << fam.size) - 1
-    if require is None:
-        return find_order_embedding(p, sup, sub, universe, induced, cand0=cand0)
-    for src in range(p.n):
-        got = find_order_embedding(
-            p, sup, sub, universe, induced, pin=(src, require), cand0=cand0
-        )
-        if got is not None:
-            return got
-    return None
+    return find_order_embedding(p, sup, sub, (1 << fam.size) - 1, induced)
 
 
 def family_contains(fam: SetFamily, p, induced: bool) -> bool:

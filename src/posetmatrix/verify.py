@@ -1,0 +1,195 @@
+"""The `verify` self-checks: the paper's lemmas tested on exhaustive small
+cases and on seeded random instances.
+
+Every check is a runner `(trials, seed, cache, cap_override) -> dict` whose
+result carries an "ok" field.  `CHECKS` registers each under its command
+line name with its default trial counts, run alone and under `verify all`;
+a check without trials has None there and ignores the argument.
+"""
+
+from __future__ import annotations
+
+from .doublecount import (
+    all_prefix_union_masks,
+    count_partitions_with_prefix,
+    double_count_identity,
+    enumerate_partitions,
+    prefix_matrix_freeness_check,
+)
+from .extremal import ex_exact, random_free_matrix, tardos_diamond_check
+from .family import SetFamily
+from .hypermatrix import (
+    HyperMatrix,
+    all_cells,
+    block_analyze,
+    contains,
+    identity_matrix,
+    loomis_whitney_holds,
+    wide_block_limit,
+)
+from .poset import dimension, load_poset
+from .rng import make_rng
+
+
+def _prefix_count_formula(trials, seed, cache, cap_override) -> dict:
+    """Exhaustive check of the fixed-prefix partition count formula."""
+    failures = []
+    for n in range(0, 5):
+        for d in range(1, 4):
+            counter: dict[int, int] = {}
+            for q in enumerate_partitions(n, d):
+                for mask in all_prefix_union_masks(q):
+                    counter[mask] = counter.get(mask, 0) + 1
+            for mask in range(1 << n):
+                want = count_partitions_with_prefix(n, d, mask.bit_count())
+                got = counter.get(mask, 0)
+                if got != want:
+                    failures.append(
+                        {"n": n, "d": d, "set": _mask_set(mask), "got": got, "want": want}
+                    )
+    return {"check": "prefix-count-formula", "ok": not failures, "failures": failures[:5]}
+
+
+def _prefix_matrix_freeness(trials, seed, cache, cap_override) -> dict:
+    """Randomized: matrices of induced-free families avoid the poset matrix."""
+    runs = []
+    ok = True
+    for spec in ("diamond", "vee:2", "butterfly"):
+        p = load_poset(spec)
+        d, realizer = dimension(p)
+        report = prefix_matrix_freeness_check(p, realizer, trials, n=5, seed=seed)
+        runs.append(
+            {
+                "poset": spec,
+                "orders": d,
+                "trials": report.trials,
+                "violations": report.violations[:5],
+            }
+        )
+        ok = ok and not report.violations
+    return {"check": "prefix-matrix-freeness", "ok": ok, "runs": runs}
+
+
+def _double_count(trials, seed, cache, cap_override) -> dict:
+    """Pair counts by formula vs enumeration: exhaustive small, random larger."""
+    failures = []
+    for n in range(0, 4):
+        for bits in range(1 << (1 << n)):
+            masks = tuple(m for m in range(1 << n) if bits >> m & 1)
+            fam = SetFamily(n, masks)
+            res = double_count_identity(fam, 2)
+            if not res.equal:
+                failures.append({"n": n, "d": 2, "family": fam.to_obj()["sets"]})
+    rng = make_rng(seed, "verify:doublecount")
+    for trial in range(trials):
+        d = 2 + trial % 2
+        masks = tuple(m for m in range(16) if rng.random() < 0.5)
+        fam = SetFamily(4, masks)
+        res = double_count_identity(fam, d)
+        if not res.equal:
+            failures.append({"n": 4, "d": d, "family": fam.to_obj()["sets"]})
+    return {
+        "check": "double-count-identity",
+        "trials": trials,
+        "ok": not failures,
+        "failures": failures[:5],
+    }
+
+
+def _projection_product(trials, seed, cache, cap_override) -> dict:
+    """Random 3-dim matrices satisfy the projection product inequality."""
+    rng = make_rng(seed, "verify:lw")
+    dims = (6, 6, 6)
+    cells = all_cells(dims)
+    failures = []
+    for trial in range(trials):
+        density = rng.uniform(0.02, 0.3)
+        ones = tuple(c for c in cells if rng.random() < density)
+        m = HyperMatrix(dims, ones)
+        if not loomis_whitney_holds(m):
+            failures.append({"trial": trial, "ones": [list(c) for c in ones]})
+    return {
+        "check": "projection-product",
+        "trials": trials,
+        "ok": not failures,
+        "failures": failures[:3],
+    }
+
+
+def _block_decomposition(trials, seed, cache, cap_override) -> dict:
+    """Random pattern-free hosts: wide-block counts under the cap, coarse
+    matrix still free."""
+    rng = make_rng(seed, "verify:blocks")
+    pattern = identity_matrix(2)
+    failures = []
+    for trial in range(trials):
+        dims = (rng.randint(2, 8), rng.randint(2, 8))
+        host = random_free_matrix(dims, [pattern], rng)
+        side = rng.choice((1, 2))
+        report = block_analyze(host, pattern, side)
+        limit = wide_block_limit(pattern, side)
+        for axis in (1, 2):
+            for key, count in report.wide_count(axis).items():
+                if count > limit:
+                    failures.append(
+                        {
+                            "trial": trial,
+                            "dims": list(dims),
+                            "side": side,
+                            "axis": axis,
+                            "column": list(key),
+                            "count": count,
+                            "limit": limit,
+                        }
+                    )
+        if report.coarse.weight and contains(report.coarse, pattern):
+            failures.append(
+                {"trial": trial, "dims": list(dims), "side": side, "coarse_not_free": True}
+            )
+    return {
+        "check": "block-decomposition",
+        "trials": trials,
+        "ok": not failures,
+        "failures": failures[:5],
+    }
+
+
+def _density_constant(trials, seed, cache, cap_override) -> dict:
+    """Exact grid values against the linear density bound for the 2x2 diagonal."""
+    pattern = identity_matrix(2)
+    rows = []
+    ok = True
+    for n in range(1, 6):
+        value = ex_exact((n, n), [pattern], cache=cache).value
+        bound = 192 * n
+        rows.append({"n": n, "value": value, "bound": bound})
+        ok = ok and value <= bound
+    return {"check": "density-constant", "ok": ok, "values": rows}
+
+
+def _diamond_pattern_set(trials, seed, cache, cap_override) -> dict:
+    """Forbidding all diamond-ordered patterns keeps grids at 4n ones."""
+    top = 4 if cap_override else 3
+    rows = []
+    ok = True
+    for n in range(1, top + 1):
+        res = tardos_diamond_check(n, cache=cache)
+        rows.append({"n": n, "value": res.value, "bound": res.bound})
+        ok = ok and res.holds
+    return {"check": "diamond-pattern-set", "ok": ok, "values": rows}
+
+
+def _mask_set(mask: int) -> list[int]:
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+# name -> (runner, default trials alone, default trials under `verify all`)
+CHECKS = {
+    "countp": (_prefix_count_formula, None, None),
+    "counta": (_prefix_matrix_freeness, 334, 50),
+    "doublecount": (_double_count, 50, 25),
+    "lw": (_projection_product, 1000, 1000),
+    "blocks": (_block_decomposition, 100, 100),
+    "mt": (_density_constant, None, None),
+    "tardos-diamond": (_diamond_pattern_set, None, None),
+}

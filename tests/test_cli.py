@@ -4,6 +4,7 @@ import pytest
 
 from posetmatrix import dump_matrix, identity_matrix
 from posetmatrix.cli import run
+from posetmatrix.verify import CHECKS
 
 
 def invoke(capsys, *argv):
@@ -196,7 +197,10 @@ def test_verify_commands_pass(capsys):
 
 
 def test_verify_rejects_bad_trials(capsys):
-    for check, trials in (("lw", "0"), ("lw", "-5"), ("blocks", "0")):
+    bad = (("lw", "0"), ("lw", "-5"), ("blocks", "0"))
+    # checks that take no trials refuse a trial count
+    bad += (("countp", "5"), ("mt", "5"), ("tardos-diamond", "5"))
+    for check, trials in bad:
         code, out, err = invoke(capsys, "--no-cache", "verify", check, "--trials", trials)
         assert code == 2
         assert out == ""
@@ -218,3 +222,27 @@ def test_verify_all_aggregates(capsys):
         "tardos-diamond",
     }
     assert obj["seed"] == 3
+    checks = obj["checks"]
+    for name in ("doublecount", "lw", "blocks"):
+        assert checks[name]["trials"] == 5, name
+    assert [run["trials"] for run in checks["counta"]["runs"]] == [5, 5, 5]
+
+
+def test_verify_default_trials(capsys):
+    obj = invoke_json(capsys, "--no-cache", "verify", "doublecount")
+    assert obj["trials"] == 50
+    checks = invoke_json(capsys, "--no-cache", "verify", "all")["checks"]
+    assert checks["doublecount"]["trials"] == 25
+    assert [run["trials"] for run in checks["counta"]["runs"]] == [50, 50, 50]
+    assert (checks["lw"]["trials"], checks["blocks"]["trials"]) == (1000, 100)
+
+
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    def failing(trials, seed, cache, cap_override):
+        return {"check": "forced", "ok": False}
+
+    monkeypatch.setitem(CHECKS, "mt", (failing, None, None))
+    for check in ("mt", "all"):
+        code, out, err = invoke(capsys, "--no-cache", "verify", check)
+        assert code == 1, check
+        assert json.loads(out)["ok"] is False and err == ""

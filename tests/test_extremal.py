@@ -203,11 +203,50 @@ def test_cached_entry_failing_recheck_is_recomputed(tmp_cache):
     entry, record = _forge_entry(tmp_cache, 6, [[1, 1], [1, 2], [1, 3], [2, 1], [3, 1], [3, 3]])
     assert ex_exact((3, 3), [id2], cache=tmp_cache) == cold
     assert json.loads(entry.read_text()) == record
+    # json reads Infinity as inf, which int() rejects with OverflowError
+    entry, record = _forge_entry(tmp_cache, float("inf"), record["witness"])
+    assert '"value": Infinity' in entry.read_text()
+    assert ex_exact((3, 3), [id2], cache=tmp_cache) == cold
+    assert json.loads(entry.read_text()) == record
     entry.unlink()
     cold = la_exact(3, diamond(), True, cache=tmp_cache)
     entry, record = _forge_entry(tmp_cache, 4, [[], [1], [2], [1, 2]])
     assert la_exact(3, diamond(), True, cache=tmp_cache) == cold
     assert json.loads(entry.read_text()) == record
+    # so does 1e999, here as a witness element
+    entry, record = _forge_entry(tmp_cache, 6, "overflow")
+    entry.write_text(entry.read_text().replace('"overflow"', "[[1e999]]"))
+    assert la_exact(3, diamond(), True, cache=tmp_cache) == cold
+    assert json.loads(entry.read_text()) == record
+
+
+def test_parent_format_cache_entries_are_served_without_search(tmp_cache, monkeypatch):
+    # keys and payloads spelled out as engine version 1 has always written
+    # them, so a change to either layout turns these hits into searches
+    ex_witness = [[1, 1], [1, 2], [1, 3], [2, 1], [3, 1]]
+    i2_obj = {"dims": [2, 2], "ones": [[1, 1], [2, 2]]}
+    tmp_cache.put(
+        {"kind": "ex", "engine": 1, "dims": [3, 3], "patterns": [i2_obj]},
+        {"value": 5, "witness": ex_witness},
+    )
+    la_witness = [[1], [2], [3], [1, 2], [1, 3], [2, 3]]
+    diamond_obj = {
+        "elements": ["a", "b", "c", "d"],
+        "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]],
+    }
+    tmp_cache.put(
+        {"kind": "la", "engine": 1, "n": 3, "poset": diamond_obj, "induced": True},
+        {"value": 6, "witness": la_witness},
+    )
+
+    def no_search(total, masks):
+        raise AssertionError("a cached instance was searched")
+
+    monkeypatch.setattr(extremal, "_mask_search", no_search)
+    res = ex_exact((3, 3), [identity_matrix(2)], cache=tmp_cache)
+    assert (res.value, res.witness.to_obj()["ones"]) == (5, ex_witness)
+    res = la_exact(3, diamond(), True, cache=tmp_cache)
+    assert (res.value, res.witness.to_obj()["sets"]) == (6, la_witness)
 
 
 def test_fresh_result_failing_recheck_raises(tmp_cache, monkeypatch):
