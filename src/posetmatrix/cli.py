@@ -243,3 +243,7 @@ def _cmd_verify(args) -> dict:
         return {"schema": 1, "seed": args.seed, **checks[args.check]}
     ok = all(c["ok"] for c in checks.values())
     return {"schema": 1, "seed": args.seed, "ok": ok, "checks": checks}
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,10 @@ so ties break the same way every run and the reported witness is the
 lexicographically least maximum one.  A position may be taken unless it is
 the last of a mask whose other positions are all taken.  The bound counts
 live masks (no position decided out) whose undecided positions are pairwise
-disjoint: each forces one more position out.
+disjoint: each forces one more position out.  Each node holds its live
+masks as one int bitset over mask indices, so the include test and the
+bound are a few bitset operations rather than a scan of the masks.  No mask
+may be empty.
 
 Both also share one solve path (`_solve`) around the search: the size cap,
 the optional on-disk cache, and an independent re-check of every witness,
@@ -204,36 +207,65 @@ def _solve(size, cap, size_text, allow_over_cap, key, cache, search, decode, enc
 def _mask_search(total: int, masks: list[int]) -> tuple[int, int]:
     """Largest set of cells 0..total-1, as a bitmask, that contains no mask.
 
+    `masks` must be sorted, and none may be empty: every set holds an empty
+    mask, so one raises ValueError.
+
     Include-first search on an explicit stack, deciding cells in order.  It
     cuts only nodes that cannot beat the best so far, so the result is the
     first maximum set in search order: the lexicographically least.
+
+    Each node carries `live`, the masks with no cell decided out, as a
+    bitset over mask indices.  A cell may be taken unless a live mask has it
+    as its highest cell: every other cell of such a mask is taken.  The
+    bound takes the live masks in index order, skipping any that shares an
+    undecided cell with one already taken; each forces one more cell out.
     """
-    # masks are sorted, so those with highest cell pos start at start[pos]
+    if 0 in masks:
+        raise ValueError("every mask must hold at least one cell")
+    cells = []  # the cells of each mask, highest first
+    # through[c]: the masks that hold cell c, one bit per mask index; bytes
+    # keep building linear in the number of masks
+    through = [bytearray((len(masks) + 7) // 8) for _ in range(total)]
+    for i, m in enumerate(masks):
+        held = []
+        while m:
+            c = m.bit_length() - 1
+            held.append(c)
+            m ^= 1 << c
+            through[c][i >> 3] |= 1 << (i & 7)
+        cells.append(held)
+    # out[c] = ~through[c] clears the masks that hold cell c
+    out = [~int.from_bytes(row, "little") for row in through]
+    # masks are sorted, so those with highest cell pos are a range of indices
     start = [bisect_left(masks, 1 << pos) for pos in range(total + 1)]
+    top = [(1 << start[pos + 1]) - (1 << start[pos]) for pos in range(total)]
     best, best_cur = -1, 0
-    stack = [(0, 0, 0)]  # next cell, chosen cells, their number
+    # next cell, chosen cells, their number, live masks
+    stack = [(0, 0, 0, (1 << len(masks)) - 1)]
     while stack:
-        pos, cur, ones = stack.pop()
+        pos, cur, ones, live = stack.pop()
         slack = ones + total - pos - best
         if slack <= 0:
             continue
         if pos == total:
             best, best_cur = ones, cur
             continue
-        low = (1 << pos) - 1
-        taken = low & ~cur  # decided 0s, then the undecided cells of counted copies
-        for m in masks[start[pos] :]:  # the copies with an undecided cell
-            if not m & taken:
-                taken |= m & ~low
-                slack -= 1
-                if not slack:
+        # live masks sharing no undecided cell with a counted one; fewer
+        # live masks than slack cannot cut the node
+        free = live if live.bit_count() >= slack else 0
+        while free:
+            slack -= 1
+            if not slack:
+                break
+            for c in cells[(free & -free).bit_length() - 1]:
+                if c < pos:
                     break
+                free &= out[c]
         if not slack:
             continue
-        bit = 1 << pos
-        stack.append((pos + 1, cur, ones))
-        if all(m & cur != m ^ bit for m in masks[start[pos] : start[pos + 1]]):
-            stack.append((pos + 1, cur | bit, ones + 1))
+        stack.append((pos + 1, cur, ones, live & out[pos]))
+        if not live & top[pos]:
+            stack.append((pos + 1, cur | 1 << pos, ones + 1, live))
     return best, best_cur
 
 

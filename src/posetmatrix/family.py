@@ -112,6 +112,24 @@ def cube_order(n: int) -> list[int]:
     return sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
 
 
+def _cube_tables(n: int):
+    """`_inclusion_tables(cube_order(n))`, from the proper submasks of each
+    set: 3^n pairs instead of all 4^n."""
+    order = cube_order(n)
+    index = [0] * len(order)
+    for i, s in enumerate(order):
+        index[s] = i
+    sup = [0] * len(order)
+    sub = [0] * len(order)
+    for j, s in enumerate(order):
+        t = s
+        while t:
+            t = (t - 1) & s
+            sub[j] |= 1 << index[t]
+            sup[index[t]] |= 1 << j
+    return sup, sub
+
+
 def occurrence_masks(n: int, p, induced: bool) -> list[int]:
     """Every copy of poset p among the subsets of {1..n}, as a bitmask over
     the subsets in `cube_order` (bit i stands for the i-th set).
@@ -122,7 +140,7 @@ def occurrence_masks(n: int, p, induced: bool) -> list[int]:
     of embeddings that differ by an automorphism of p coincide and are kept
     once; the masks come sorted, hence grouped by highest set.
     """
-    sup, sub = _inclusion_tables(cube_order(n))
+    sup, sub = _cube_tables(n)
     embeddings = order_embeddings(p, sup, sub, (1 << len(sup)) - 1, induced)
     return sorted({sum(1 << t for t in image) for image in embeddings})
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +250,20 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         code, out, err = invoke(capsys, "--no-cache", "verify", check)
         assert code == 1, check
         assert json.loads(out)["ok"] is False and err == ""
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["--no-cache", "verify", "countp"]
+    code, want, _ = invoke(capsys, *argv)
+    assert code == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for module in ("posetmatrix", "posetmatrix.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, want), (module, proc.stderr)

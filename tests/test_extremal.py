@@ -2,7 +2,7 @@ import json
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetmatrix import extremal
@@ -130,6 +130,45 @@ def test_occurrence_masks_decide_containment(data):
     assert any(m & bits == m for m in masks) == any(brute_contains(host, a) for a in pats)
 
 
+@st.composite
+def mask_lists(draw):
+    """A cell count of at most 10 and up to 12 distinct nonzero masks of 1 to
+    4 cells over it, sorted; masks may nest or hold a single cell."""
+    total = draw(st.integers(1, 10))
+    cell_sets = draw(
+        st.lists(st.frozensets(st.integers(0, total - 1), min_size=1, max_size=4), max_size=12)
+    )
+    return total, sorted({sum(1 << c for c in cs) for cs in cell_sets})
+
+
+def brute_mask_search(total, masks):
+    """The first set holding no mask, of the largest such size, in
+    combinations order: the lexicographically least maximum one."""
+    for size in range(total, -1, -1):
+        for pick in combinations(range(total), size):
+            bits = sum(1 << c for c in pick)
+            if not any(m & bits == m for m in masks):
+                return size, bits
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mask_lists())
+@example((3, [0b1, 0b11, 0b111]))  # nested, one cell
+@example((4, []))
+# wrong if the bound counts a mask sharing a lower undecided cell with one
+# already counted
+@example((10, [1, 43, 68, 132, 136, 264, 278, 323, 520, 592]))
+def test_mask_search_matches_brute_force(instance):
+    total, masks = instance
+    assert extremal._mask_search(total, masks) == brute_mask_search(total, masks)
+
+
+def test_mask_search_rejects_empty_mask():
+    # every set holds an empty mask, so no answer would be right
+    with pytest.raises(ValueError, match="at least one cell"):
+        extremal._mask_search(3, [0, 0b11])
+
+
 def test_ex_one_dim_full_patterns():
     # a length-l run of 1s forces every window of l positions to miss one
     for ell in (1, 2, 3, 5):
@@ -164,6 +203,14 @@ def test_ex_cap_and_override():
     assert ex_exact((40,), [long_run], allow_over_cap=True).value == 1
     # one search level per cell: deeper than Python's recursion limit
     assert ex_exact((1, 1200), [id2], allow_over_cap=True).value == 1200
+
+
+def test_ex_seven_by_seven_identity():
+    # past the default cap: 2n-1 for the 2x2 identity
+    id2 = identity_matrix(2)
+    res = ex_exact((7, 7), [id2], allow_over_cap=True)
+    assert res.value == res.witness.weight == 13
+    assert not brute_contains(res.witness, id2)
 
 
 def test_ex_rejects_bad_input():
@@ -264,6 +311,13 @@ def test_la_chain_matches_erdos():
         for k in range(2, 5):
             assert la_exact(n, chain(k), False).value == erdos_bound(n, k)
             assert la_exact(n, chain(k), True).value == erdos_bound(n, k)
+
+
+def test_la_chain_three_six():
+    # past the default cap: Erdos's bound, the two largest levels of the 6-cube
+    res = la_exact(6, chain(3), False, allow_over_cap=True)
+    assert res.value == res.witness.size == erdos_bound(6, 3) == 35
+    assert not brute_family_contains(res.witness, chain(3), False)
 
 
 def test_la_generic_agrees_with_chain_shortcut():

@@ -19,6 +19,7 @@ from posetmatrix import (
     shifted_lubell,
     vee,
 )
+from posetmatrix.family import _cube_tables, _inclusion_tables, cube_order
 from posetmatrix.rng import make_rng
 
 from conftest import brute_family_contains
@@ -104,3 +105,8 @@ def test_family_file_round_trip(tmp_path):
     bad.write_text("{]")
     with pytest.raises(InvariantError, match="valid JSON"):
         load_family(bad)
+
+
+def test_cube_tables_match_inclusion_tables():
+    for n in range(7):
+        assert _cube_tables(n) == _inclusion_tables(cube_order(n))
