@@ -3,7 +3,8 @@
 Every command prints one JSON object (or a flattened TSV of it) with a
 top-level "schema" field.  Randomized verification commands echo their seed
 and report counterexamples in the output; exit status is 0 for ok, 1 for a
-failed verification, 2 for bad input.
+failed verification, 2 for bad input, 141 when the reader of stdout closes
+it early.
 """
 
 from __future__ import annotations
@@ -95,7 +96,14 @@ def run(argv=None) -> int:
     except (InvariantError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.format)
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`): point stdout at devnull so the
+        # flush at exit stays quiet, and exit as SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 1 if payload.get("ok") is False else 0
 
 

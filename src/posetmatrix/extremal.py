@@ -19,6 +19,15 @@ masks as one int bitset over mask indices, so the include test and the
 bound are a few bitset operations rather than a scan of the masks.  No mask
 may be empty.
 
+The search also takes symmetries of the mask set, position permutations
+that are involutions, and cuts a node whose every completion one of them
+maps to a set the search reaches first (lex-leader symmetry breaking,
+Crawford, Ginsberg, Luks and Roy 1996).  The first maximum set found leads
+its own orbit, so values and witnesses do not depend on the symmetries
+given.  `la_exact` passes the swaps of adjacent elements of {1..n}
+(`family.cube_swaps`), which map every poset's copies onto themselves;
+`ex_exact` passes none.
+
 Both also share one solve path (`_solve`) around the search: the size cap,
 the optional on-disk cache, and an independent re-check of every witness,
 fresh or cached.  `ex_exact` and `la_exact` supply only their cache key,
@@ -32,7 +41,7 @@ from typing import NamedTuple
 
 from .cache import ResultCache
 from .errors import CapExceeded
-from .family import SetFamily, cube_order, family_contains
+from .family import SetFamily, cube_order, cube_swaps, family_contains
 from .family import occurrence_masks as family_masks
 from .hypermatrix import HyperMatrix, all_cells, contains, occurrence_masks
 from .poset import Poset, diamond, enumerate_patterns
@@ -152,7 +161,9 @@ def la_exact(
 
     def search() -> LaResult:
         ground = cube_order(n)
-        value, chosen = _mask_search(len(ground), family_masks(n, p, induced))
+        value, chosen = _mask_search(
+            len(ground), family_masks(n, p, induced), cube_swaps(n)
+        )
         masks = tuple(s for i, s in enumerate(ground) if chosen >> i & 1)
         return LaResult(value, SetFamily(n, masks))
 
@@ -204,24 +215,48 @@ def _solve(size, cap, size_text, allow_over_cap, key, cache, search, decode, enc
     return result
 
 
-def _mask_search(total: int, masks: list[int]) -> tuple[int, int]:
+def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
     """Largest set of cells 0..total-1, as a bitmask, that contains no mask.
 
     `masks` must be sorted, and none may be empty: every set holds an empty
-    mask, so one raises ValueError.
+    mask, so one raises ValueError.  `syms` are symmetries of the masks:
+    permutations of the cells, sym taking cell c to sym[c], each an
+    involution that maps the masks onto themselves.  Neither is checked
+    here; `la_exact`'s swaps have both by construction.
 
-    Include-first search on an explicit stack, deciding cells in order.  It
-    cuts only nodes that cannot beat the best so far, so the result is the
-    first maximum set in search order: the lexicographically least.
+    Include-first search on an explicit stack, deciding cells in order, so
+    the result is the first maximum set in search order: the
+    lexicographically least.  It cuts two kinds of node:
+
+    - Bound: the node cannot beat the best so far.
+    - Symmetry (lex-leader): for some sym, the decided cells already show
+      that sym maps every completion X to a set the search reaches first.
+      That holds when, at the first position where X and sym(X) differ,
+      sym(X) takes the cell.  Every sym maps a maximum set to a maximum
+      set, none of which the search reaches before the first one it finds,
+      so that one is never cut: the result does not depend on `syms`.
 
     Each node carries `live`, the masks with no cell decided out, as a
     bitset over mask indices.  A cell may be taken unless a live mask has it
     as its highest cell: every other cell of such a mask is taken.  The
     bound takes the live masks in index order, skipping any that shares an
     undecided cell with one already taken; each forces one more cell out.
+
+    X and sym(X) can first differ only at a cell c < sym[c], where X at c
+    is compared with X at sym[c].  Each node also carries `ties`: for each
+    sym, the index of its first such comparison not yet decided, every
+    earlier one a tie (past the end once X has won one), and the bitset of
+    the cells those comparisons wait on.  Only deciding one of those cells
+    advances them.
     """
     if 0 in masks:
         raise ValueError("every mask must hold at least one cell")
+    low, high = [], []  # the comparisons of each sym, by its lower cell
+    wake = 0
+    for sym in syms:
+        low.append([c for c, d in enumerate(sym) if c < d])
+        high.append([d for c, d in enumerate(sym) if c < d] + [total])  # total: never decided
+        wake |= 1 << high[-1][0]
     cells = []  # the cells of each mask, highest first
     # through[c]: the masks that hold cell c, one bit per mask index; bytes
     # keep building linear in the number of masks
@@ -240,10 +275,10 @@ def _mask_search(total: int, masks: list[int]) -> tuple[int, int]:
     start = [bisect_left(masks, 1 << pos) for pos in range(total + 1)]
     top = [(1 << start[pos + 1]) - (1 << start[pos]) for pos in range(total)]
     best, best_cur = -1, 0
-    # next cell, chosen cells, their number, live masks
-    stack = [(0, 0, 0, (1 << len(masks)) - 1)]
+    # next cell, chosen cells, their number, live masks, ties
+    stack = [(0, 0, 0, (1 << len(masks)) - 1, ((0,) * len(syms), wake))]
     while stack:
-        pos, cur, ones, live = stack.pop()
+        pos, cur, ones, live, ties = stack.pop()
         slack = ones + total - pos - best
         if slack <= 0:
             continue
@@ -263,10 +298,64 @@ def _mask_search(total: int, masks: list[int]) -> tuple[int, int]:
                 free &= out[c]
         if not slack:
             continue
-        stack.append((pos + 1, cur, ones, live & out[pos]))
-        if not live & top[pos]:
-            stack.append((pos + 1, cur | 1 << pos, ones + 1, live))
+        left = kept = ties
+        if ties[1] >> pos & 1:
+            left, kept = _advance(ties, cur, pos, low, high)
+        if left:
+            stack.append((pos + 1, cur, ones, live & out[pos], left))
+        if kept and not live & top[pos]:
+            stack.append((pos + 1, cur | 1 << pos, ones + 1, live, kept))
     return best, best_cur
+
+
+def _advance(ties, cur, pos, low, high):
+    """The `ties` of the two children of a `_mask_search` node that decides
+    cell pos, cur holding the cells taken before it: (pos left out, pos
+    taken), None for a child that some sym cuts.
+
+    A sym waiting on pos compares X at its lower cell c with X at pos.  With
+    c taken, the child leaving pos wins and the one taking it ties; with c
+    left, the one taking pos is cut and the other ties.  The comparisons
+    after a tie that are already decided hold only cells below pos, so they
+    come out the same in both children and are run once.
+    """
+    at, wake = ties
+    wake ^= 1 << pos  # every sym waiting on pos moves on
+    left, kept = list(at), list(at)
+    left_wake = kept_wake = wake
+    left_ok = kept_ok = True
+    for k, i in enumerate(at):
+        lo, hi = low[k], high[k]
+        if hi[i] != pos:
+            continue
+        j = i + 1
+        while hi[j] < pos:
+            a = cur >> lo[j] & 1
+            if a == cur >> hi[j] & 1:
+                j += 1
+            elif a:  # X takes the first differing cell: this sym never cuts
+                j = len(lo)
+            else:
+                j = -1
+                break
+        if cur >> lo[i] & 1:
+            left[k] = len(lo)
+            if j < 0:
+                kept_ok = False
+            else:
+                kept[k] = j
+                kept_wake |= 1 << hi[j]
+        else:
+            kept_ok = False
+            if j < 0:
+                left_ok = False
+            else:
+                left[k] = j
+                left_wake |= 1 << hi[j]
+    return (
+        (tuple(left), left_wake) if left_ok else None,
+        (tuple(kept), kept_wake) if kept_ok else None,
+    )
 
 
 def ex_monotonicity_check(pattern: HyperMatrix, small, big, **caps) -> MonotonicityResult:

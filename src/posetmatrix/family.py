@@ -112,13 +112,32 @@ def cube_order(n: int) -> list[int]:
     return sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
 
 
-def _cube_tables(n: int):
-    """`_inclusion_tables(cube_order(n))`, from the proper submasks of each
-    set: 3^n pairs instead of all 4^n."""
+def _cube_index(n: int):
+    """`cube_order(n)`, and the position in it of each set."""
     order = cube_order(n)
     index = [0] * len(order)
     for i, s in enumerate(order):
         index[s] = i
+    return order, index
+
+
+def cube_swaps(n: int) -> list[list[int]]:
+    """The swaps of elements i and i+1 of {1..n}, i = 1..n-1, as maps of
+    `cube_order` positions: entry j is the position of the image of the
+    j-th set.  Each is an involution, and each maps the copies of any poset
+    onto themselves."""
+    order, index = _cube_index(n)
+    # a set with exactly one of bits i, i+1 moves to the set with the other
+    return [
+        [index[s ^ 3 << i] if (s >> i ^ s >> i + 1) & 1 else j for j, s in enumerate(order)]
+        for i in range(n - 1)
+    ]
+
+
+def _cube_tables(n: int):
+    """`_inclusion_tables(cube_order(n))`, from the proper submasks of each
+    set: 3^n pairs instead of all 4^n."""
+    order, index = _cube_index(n)
     sup = [0] * len(order)
     sub = [0] * len(order)
     for j, s in enumerate(order):

@@ -252,18 +252,37 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         assert json.loads(out)["ok"] is False and err == ""
 
 
+def source_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["--no-cache", "verify", "countp"]
     code, want, _ = invoke(capsys, *argv)
     assert code == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     for module in ("posetmatrix", "posetmatrix.cli"):
         proc = subprocess.run(
             [sys.executable, "-m", module, *argv],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=source_env(),
             timeout=120,
         )
         assert (proc.returncode, proc.stdout) == (0, want), (module, proc.stderr)
+
+
+def test_closed_stdout_exits_quietly():
+    # `posetmatrix ... | head` when head is gone before the CLI writes: no
+    # traceback, and not exit 1, which means "verify found violations"
+    with subprocess.Popen(
+        [sys.executable, "-m", "posetmatrix.cli", "--no-cache", "verify", "countp"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=source_env(),
+    ) as proc:
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""

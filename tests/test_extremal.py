@@ -163,6 +163,40 @@ def test_mask_search_matches_brute_force(instance):
     assert extremal._mask_search(total, masks) == brute_mask_search(total, masks)
 
 
+@st.composite
+def symmetric_mask_lists(draw):
+    """`mask_lists` with one or two random involutions of its cells, the
+    masks closed under both."""
+    total, masks = draw(mask_lists())
+    syms = []
+    for _ in range(draw(st.integers(1, 2))):
+        cells = draw(st.permutations(range(total)))
+        sym = list(range(total))
+        for i in range(draw(st.integers(0, total // 2))):
+            a, b = cells[2 * i], cells[2 * i + 1]
+            sym[a], sym[b] = b, a
+        syms.append(sym)
+    closed, new = set(masks), set(masks)
+    while new:
+        images = {sum(1 << sym[c] for c in range(total) if m >> c & 1) for m in new for sym in syms}
+        new = images - closed
+        closed |= new
+    return total, sorted(closed), syms
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(symmetric_mask_lists())
+# swapping cells 0 and 2 cuts every set that takes cell 2 but not cell 0
+@example((3, [0b11, 0b110], [[2, 1, 0]]))
+# wrong if a sym that X has beaten still cuts at a later comparison
+@example((9, [40, 192], [[1, 0, 8, 7, 4, 6, 5, 3, 2]]))
+def test_symmetric_mask_search_matches_trivial_group(instance):
+    total, masks, syms = instance
+    expected = brute_mask_search(total, masks)
+    assert extremal._mask_search(total, masks, syms) == expected
+    assert extremal._mask_search(total, masks) == expected
+
+
 def test_mask_search_rejects_empty_mask():
     # every set holds an empty mask, so no answer would be right
     with pytest.raises(ValueError, match="at least one cell"):
@@ -286,7 +320,7 @@ def test_parent_format_cache_entries_are_served_without_search(tmp_cache, monkey
         {"value": 6, "witness": la_witness},
     )
 
-    def no_search(total, masks):
+    def no_search(total, masks, syms=()):
         raise AssertionError("a cached instance was searched")
 
     monkeypatch.setattr(extremal, "_mask_search", no_search)
@@ -298,7 +332,7 @@ def test_parent_format_cache_entries_are_served_without_search(tmp_cache, monkey
 
 def test_fresh_result_failing_recheck_raises(tmp_cache, monkeypatch):
     # an engine fault that takes every position must not pass or be cached
-    monkeypatch.setattr(extremal, "_mask_search", lambda total, masks: (total, (1 << total) - 1))
+    monkeypatch.setattr(extremal, "_mask_search", lambda total, masks, syms=(): (total, (1 << total) - 1))
     with pytest.raises(RuntimeError, match="forbidden pattern"):
         ex_exact((3, 3), [identity_matrix(2)], cache=tmp_cache)
     with pytest.raises(RuntimeError, match="forbidden poset"):
@@ -318,6 +352,20 @@ def test_la_chain_three_six():
     res = la_exact(6, chain(3), False, allow_over_cap=True)
     assert res.value == res.witness.size == erdos_bound(6, 3) == 35
     assert not brute_family_contains(res.witness, chain(3), False)
+
+
+def test_la_antichain_three_induced_six():
+    # past the default cap: 2n, the largest union of two chains (Dilworth)
+    res = la_exact(6, antichain(3), True, allow_over_cap=True)
+    assert res.value == res.witness.size == 12
+    assert not brute_family_contains(res.witness, antichain(3), True)
+
+
+def test_la_vee_induced_six():
+    # search value, witness re-checked: no closed form confirms optimality
+    res = la_exact(6, vee(2), True, allow_over_cap=True)
+    assert res.value == res.witness.size == 25
+    assert not brute_family_contains(res.witness, vee(2), True)
 
 
 def test_la_generic_agrees_with_chain_shortcut():

@@ -19,7 +19,13 @@ from posetmatrix import (
     shifted_lubell,
     vee,
 )
-from posetmatrix.family import _cube_tables, _inclusion_tables, cube_order
+from posetmatrix.family import (
+    _cube_tables,
+    _inclusion_tables,
+    cube_order,
+    cube_swaps,
+    occurrence_masks,
+)
 from posetmatrix.rng import make_rng
 
 from conftest import brute_family_contains
@@ -110,3 +116,28 @@ def test_family_file_round_trip(tmp_path):
 def test_cube_tables_match_inclusion_tables():
     for n in range(7):
         assert _cube_tables(n) == _inclusion_tables(cube_order(n))
+
+
+def test_cube_swaps_swap_adjacent_elements():
+    for n in range(7):
+        order = cube_order(n)
+        swaps = cube_swaps(n)
+        assert len(swaps) == max(n - 1, 0)
+        for i, swap in enumerate(swaps):
+            a, b = 1 << i, 2 << i
+            for j, s in enumerate(order):
+                t = s & ~(a | b) | (a if s & b else 0) | (b if s & a else 0)
+                assert order[swap[j]] == t
+
+
+def test_occurrence_masks_invariant_under_cube_swaps():
+    # why la_exact may hand these swaps to the search unchecked
+    posets = [chain(1), chain(2), chain(3), vee(2), antichain(2), antichain(3), diamond(), butterfly()]
+    for n in range(6):
+        swaps = cube_swaps(n)
+        for p in posets:
+            for induced in (False, True):
+                masks = occurrence_masks(n, p, induced)
+                for swap in swaps:
+                    image = {sum(1 << swap[c] for c in range(len(swap)) if m >> c & 1) for m in masks}
+                    assert image == set(masks), (n, p, induced)
