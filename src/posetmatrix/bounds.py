@@ -118,16 +118,19 @@ def middle_levels_free(n: int, m: int, p: Poset, induced: bool) -> bool:
     return not family_contains(middle_levels(n, m), p, induced)
 
 
-def e_estimate(p: Poset, induced: bool, n_max: int = 6) -> int:
+E_ESTIMATE_N_MAX = 6  # largest ground set `e_estimate` tests
+
+
+def e_estimate(p: Poset, induced: bool) -> int:
     """Largest m whose m middle levels avoid p at every tested ground size.
 
-    An estimate only: tested for n up to n_max, so it can overshoot the true
-    all-n value.
+    An estimate only: tested for n up to E_ESTIMATE_N_MAX, so it can
+    overshoot the true all-n value.
     """
     est = 0
     m = 1
-    while m <= n_max + 1:
-        ns = range(max(1, m - 1), n_max + 1)
+    while m <= E_ESTIMATE_N_MAX + 1:
+        ns = range(max(1, m - 1), E_ESTIMATE_N_MAX + 1)
         if not ns or not all(middle_levels_free(n, m, p, induced) for n in ns):
             break
         est = m
@@ -136,6 +139,7 @@ def e_estimate(p: Poset, induced: bool, n_max: int = 6) -> int:
 
 
 def _pattern_side_cap(d: int) -> int:
+    """Largest side n <= 4 whose d-dim cube is within the cell cap."""
     n = 1
     while (n + 1) ** d <= DEFAULT_CELL_CAP:
         n += 1
@@ -146,7 +150,6 @@ def induced_bound_pipeline(
     p: Poset,
     k_source: str = "mt",
     supplied=None,
-    n_max: int = 4,
     *,
     cache=None,
 ) -> dict:
@@ -170,7 +173,7 @@ def induced_bound_pipeline(
         k_value = Fraction(MT_K2)
         provenance = "marcus-tardos-constant(k=2)"
     elif k_source == "exact":
-        n_hi = min(n_max, _pattern_side_cap(d))
+        n_hi = _pattern_side_cap(d)
         best = Fraction(0)
         for n in range(1, n_hi + 1):
             value = ex_exact((n,) * d, [pattern], cache=cache).value

@@ -3,7 +3,9 @@
 A partition splits a permutation of 1..n into d ordered runs.  Picking an
 index into each run and collecting the elements before it yields a prefix
 union; the 0-1 matrix of which index vectors land inside a set family is the
-bridge between family problems and pattern problems.
+bridge between family problems and pattern problems.  The randomized
+freeness check builds a family's inclusion tables once and deletes a member
+by clearing its bit in the embedding search's universe.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import CapExceeded, InvariantError
-from .family import SetFamily, find_embedding
+from .embed import find_order_embedding
+from .family import SetFamily, inclusion_tables
 from .hypermatrix import HyperMatrix, contains
 from .poset import Poset, Realizer, realizer_to_matrix
 from .rng import make_rng
@@ -168,8 +171,9 @@ def prefix_matrix_freeness_check(
     """Randomized check: a family with no induced copy of p yields a
     prefix-union matrix avoiding the poset's permutation matrix.
 
-    Each trial draws a random family, deletes random members until it is
-    induced-p-free, draws a random partition, and tests the matrix.
+    Each trial draws a random family, deletes a random member of the first
+    induced copy of p until there is none, draws a random partition, and
+    tests the matrix.
     """
     d = r.order_count
     if d < 2:
@@ -179,13 +183,11 @@ def prefix_matrix_freeness_check(
     violations = []
     for trial in range(trials):
         masks = tuple(m for m in range(1 << n) if rng.random() < 0.5)
-        fam = SetFamily(n, masks)
-        while True:
-            emb = find_embedding(fam, p, induced=True)
-            if emb is None:
-                break
-            drop = rng.choice(emb)
-            fam = SetFamily(n, tuple(m for i, m in enumerate(fam.masks) if i != drop))
+        sup, sub = inclusion_tables(masks)
+        keep = (1 << len(masks)) - 1
+        while (emb := find_order_embedding(p, sup, sub, keep, True)) is not None:
+            keep ^= 1 << rng.choice(emb)
+        fam = SetFamily(n, tuple(m for i, m in enumerate(masks) if keep >> i & 1))
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         marks = sorted(rng.sample(range(n + d - 1), d - 1))
@@ -212,7 +214,7 @@ class DoubleCountResult(NamedTuple):
     equal: bool
 
 
-def double_count_identity(fam: SetFamily, d: int, cap: int = 10_000_000) -> DoubleCountResult:
+def double_count_identity(fam: SetFamily, d: int) -> DoubleCountResult:
     """Count (partition, member) pairs where the member is a prefix union,
     once by the per-size formula and once by enumeration."""
     if d < 1:
@@ -220,6 +222,6 @@ def double_count_identity(fam: SetFamily, d: int, cap: int = 10_000_000) -> Doub
     lhs = sum(count_partitions_with_prefix(fam.n, d, m.bit_count()) for m in fam.masks)
     member = set(fam.masks)
     rhs = 0
-    for q in enumerate_partitions(fam.n, d, cap):
+    for q in enumerate_partitions(fam.n, d):
         rhs += len(all_prefix_union_masks(q) & member)
     return DoubleCountResult(lhs, rhs, lhs == rhs)

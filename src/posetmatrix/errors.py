@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON-file reader that raises them."""
+
+import json
 
 
 class InvariantError(ValueError):
@@ -19,3 +21,18 @@ class CapExceeded(RuntimeError):
 
 class DimensionCapExceeded(CapExceeded):
     """No realizer with the allowed number of linear orders was found."""
+
+
+def load_json_file(path, what: str, build):
+    """build(obj) on the JSON document in the file at path; bad JSON, and a
+    TypeError while building (a field of the wrong type), raise
+    InvariantError naming `what`."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvariantError(f"{what} file is valid JSON", str(exc)) from exc
+    try:
+        return build(obj)
+    except TypeError as exc:
+        raise InvariantError(f"{what} file field types", str(exc)) from exc

@@ -2,18 +2,19 @@
 
 Sets are bitmasks (bit i-1 = element i).  A family keeps insertion order so
 witnesses round-trip byte-identically, but equality of content is what the
-containment routines care about.
+containment routines care about.  `inclusion_tables` is the one builder of
+the inclusion order: containment, the copies of a poset in the cube and
+`poset.boolean_lattice` all read it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .embed import find_order_embedding, order_embeddings
-from .errors import InvariantError
+from .errors import InvariantError, load_json_file
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,40 @@ def load_family_obj(obj) -> SetFamily:
 
 
 def load_family(path) -> SetFamily:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvariantError("family file is valid JSON", str(exc)) from exc
-    return load_family_obj(obj)
+    return load_json_file(path, "family", load_family_obj)
 
 
-def _inclusion_tables(masks):
-    """sup[i] / sub[i] = bitmasks of members strictly containing / contained
-    in member i."""
-    k = len(masks)
-    sup = [0] * k
-    sub = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and masks[i] & ~masks[j] == 0:  # masks[i] subset of masks[j]
-                sup[i] |= 1 << j
-                sub[j] |= 1 << i
+def inclusion_tables(masks):
+    """sup[i] / sub[i]: bitsets of the members strictly above / below member
+    i under inclusion (masks distinct).  With holds[e] the members holding
+    element e, i's supersets are in holds[e] for every e in i, and its
+    subsets in holds[e] for no e outside i: O(k·n) big-int operations."""
+    full = (1 << len(masks)) - 1
+    holds = [0] * max(masks, default=0).bit_length()
+    bit = 1
+    for m in masks:
+        e = 0
+        while m:
+            if m & 1:
+                holds[e] |= bit
+            m >>= 1
+            e += 1
+        bit <<= 1
+    sup = []
+    sub = []
+    bit = 1
+    for m in masks:
+        above, outside = full, 0
+        for members in holds:
+            if m & 1:
+                above &= members
+            else:
+                outside |= members
+            m >>= 1
+        # member i is in `above` and not in `outside`: the XORs drop it
+        sup.append(above ^ bit)
+        sub.append(full ^ outside ^ bit)
+        bit <<= 1
     return sup, sub
 
 
@@ -94,11 +110,7 @@ def find_embedding(fam: SetFamily, p, induced: bool):
 
     induced=True also forbids extra inclusions between image sets.
     """
-    if p.n == 0:
-        return ()
-    if p.n > fam.size:
-        return None
-    sup, sub = _inclusion_tables(fam.masks)
+    sup, sub = inclusion_tables(fam.masks)
     return find_order_embedding(p, sup, sub, (1 << fam.size) - 1, induced)
 
 
@@ -112,41 +124,20 @@ def cube_order(n: int) -> list[int]:
     return sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
 
 
-def _cube_index(n: int):
-    """`cube_order(n)`, and the position in it of each set."""
-    order = cube_order(n)
-    index = [0] * len(order)
-    for i, s in enumerate(order):
-        index[s] = i
-    return order, index
-
-
 def cube_swaps(n: int) -> list[list[int]]:
     """The swaps of elements i and i+1 of {1..n}, i = 1..n-1, as maps of
     `cube_order` positions: entry j is the position of the image of the
     j-th set.  Each is an involution, and each maps the copies of any poset
     onto themselves."""
-    order, index = _cube_index(n)
+    order = cube_order(n)
+    index = [0] * len(order)
+    for j, s in enumerate(order):
+        index[s] = j
     # a set with exactly one of bits i, i+1 moves to the set with the other
     return [
         [index[s ^ 3 << i] if (s >> i ^ s >> i + 1) & 1 else j for j, s in enumerate(order)]
         for i in range(n - 1)
     ]
-
-
-def _cube_tables(n: int):
-    """`_inclusion_tables(cube_order(n))`, from the proper submasks of each
-    set: 3^n pairs instead of all 4^n."""
-    order, index = _cube_index(n)
-    sup = [0] * len(order)
-    sub = [0] * len(order)
-    for j, s in enumerate(order):
-        t = s
-        while t:
-            t = (t - 1) & s
-            sub[j] |= 1 << index[t]
-            sup[index[t]] |= 1 << j
-    return sup, sub
 
 
 def occurrence_masks(n: int, p, induced: bool) -> list[int]:
@@ -159,7 +150,7 @@ def occurrence_masks(n: int, p, induced: bool) -> list[int]:
     of embeddings that differ by an automorphism of p coincide and are kept
     once; the masks come sorted, hence grouped by highest set.
     """
-    sup, sub = _cube_tables(n)
+    sup, sub = inclusion_tables(cube_order(n))
     embeddings = order_embeddings(p, sup, sub, (1 << len(sup)) - 1, induced)
     return sorted({sum(1 << t for t in image) for image in embeddings})
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations, product
 from math import comb, prod
 
-from .errors import InvariantError
+from .errors import InvariantError, load_json_file
 
 Coord = tuple[int, ...]
 
@@ -81,12 +81,7 @@ class HyperMatrix:
 
 
 def load_matrix(path) -> HyperMatrix:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvariantError("matrix file is valid JSON", str(exc)) from exc
-    return HyperMatrix.from_obj(obj)
+    return load_json_file(path, "matrix", HyperMatrix.from_obj)
 
 
 def dump_matrix(m: HyperMatrix, path) -> None:

@@ -7,14 +7,14 @@ and transitivity, so every Poset in the system is a genuine strict order.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 from .embed import find_order_embedding
-from .errors import CapExceeded, DimensionCapExceeded, InvariantError
+from .errors import CapExceeded, DimensionCapExceeded, InvariantError, load_json_file
+from .family import cube_order, inclusion_tables
 from .hypermatrix import HyperMatrix
 
 
@@ -139,12 +139,7 @@ def load_poset_obj(obj) -> Poset:
 
 
 def load_poset_file(path) -> Poset:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvariantError("poset file is valid JSON", str(exc)) from exc
-    return load_poset_obj(obj)
+    return load_json_file(path, "poset", load_poset_obj)
 
 
 # --- builtins --------------------------------------------------------------
@@ -185,19 +180,12 @@ def butterfly() -> Poset:
 
 
 def boolean_lattice(m: int) -> Poset:
-    """All subsets of {1..m} ordered by strict inclusion."""
+    """All subsets of {1..m} ordered by strict inclusion, in `cube_order`."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    masks = sorted(range(1 << m), key=lambda s: (s.bit_count(), s))
+    masks = cube_order(m)
     label = ["{" + ",".join(str(i + 1) for i in range(m) if s >> i & 1) + "}" for s in masks]
-    up = []
-    for s in masks:
-        bits = 0
-        for j, t in enumerate(masks):
-            if s != t and s & t == s:
-                bits |= 1 << j
-        up.append(bits)
-    return Poset(tuple(label), tuple(up))
+    return Poset(tuple(label), tuple(inclusion_tables(masks)[0]))
 
 
 _BUILTIN = re.compile(r"^(chain|antichain|vee|boolean):(\d+)$")
@@ -316,7 +304,10 @@ def is_realizer(p: Poset, r: Realizer) -> bool:
     return True
 
 
-def dimension(p: Poset, cap: int | None = None, size_cap: int = 8) -> tuple[int, Realizer]:
+DIMENSION_SIZE_CAP = 8
+
+
+def dimension(p: Poset, cap: int | None = None) -> tuple[int, Realizer]:
     """Least t with a t-order realizer, plus the lexicographically least witness.
 
     Iterative deepening on t.  A tuple of extensions realizes p exactly when,
@@ -326,8 +317,10 @@ def dimension(p: Poset, cap: int | None = None, size_cap: int = 8) -> tuple[int,
     """
     if p.n == 0:
         raise ValueError("empty poset")
-    if p.n > size_cap:
-        raise CapExceeded(f"poset has {p.n} elements, dimension search cap is {size_cap}")
+    if p.n > DIMENSION_SIZE_CAP:
+        raise CapExceeded(
+            f"poset has {p.n} elements, dimension search cap is {DIMENSION_SIZE_CAP}"
+        )
     exts = list(linear_extensions(p))
     inc = [
         (i, j)
@@ -431,13 +424,8 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
     def profile(r: Poset):
         return sorted((r.up[i].bit_count(), r.down[i].bit_count()) for i in range(r.n))
 
-    if profile(p) != profile(q):
-        return False
-    sup = list(q.up)
-    sub = list(q.down)
-    match = find_order_embedding(p, sup, sub, (1 << q.n) - 1, induced=True)
     # an induced injection between equal-sized posets is an isomorphism
-    return match is not None
+    return profile(p) == profile(q) and subposet_embeds(p, q, True)
 
 
 def enumerate_patterns(p: Poset, d: int = 2) -> list[HyperMatrix]:

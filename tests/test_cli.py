@@ -78,6 +78,24 @@ def test_ex_malformed_pattern_file(tmp_path, capsys):
     assert "valid JSON" in err
 
 
+def test_wrongly_typed_input_fields_exit_two(tmp_path, capsys):
+    cases = [
+        (("poset", "info"), {"elements": ["a", "b"], "covers": [[["a"], "b"]]}),
+        (("poset", "info"), {"elements": 5, "covers": []}),
+        (("ex", "--dims", "2,2", "--pattern"), {"dims": 5, "ones": []}),
+        (("ex", "--dims", "2,2", "--pattern"), {"dims": [2, 2], "ones": [5]}),
+        (("lubell", "--family"), {"n": 3, "sets": [5]}),
+        (("lubell", "--family"), {"n": None, "sets": []}),
+    ]
+    for i, (argv, obj) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = invoke(capsys, "--no-cache", *argv, str(path))
+        assert (code, out) == (2, ""), (argv, obj)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def test_la_command(capsys):
     obj = invoke_json(
         capsys, "--no-cache", "la", "--n", "2", "--poset", "diamond", "--mode", "induced"

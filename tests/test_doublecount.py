@@ -9,12 +9,14 @@ from posetmatrix import (
     PermutationPartition,
     SetFamily,
     all_prefix_union_masks,
+    builtin,
     chain,
     count_partitions_with_prefix,
     diamond,
     dimension,
     double_count_identity,
     enumerate_partitions,
+    find_embedding,
     format_partition,
     parse_partition,
     partition_count,
@@ -22,6 +24,8 @@ from posetmatrix import (
     prefix_union,
     prefix_union_matrix,
 )
+from posetmatrix import doublecount
+from posetmatrix.rng import make_rng
 
 
 def test_partition_validation():
@@ -151,3 +155,47 @@ def test_freeness_check_needs_two_orders():
     _, realizer = dimension(p)
     with pytest.raises(ValueError, match="2 linear orders"):
         prefix_matrix_freeness_check(p, realizer, trials=1)
+
+
+def _delete_and_rebuild(p, d, trials, n, seed):
+    """The freeness check's trials done the plain way: rebuild the family
+    after every deletion and search it with `find_embedding`.  Returns the
+    (partition, family) pair of each trial and the number of deletions."""
+    rng = make_rng(seed, f"freeness:{n}:{d}")
+    out = []
+    drops = 0
+    for _ in range(trials):
+        fam = SetFamily(n, tuple(m for m in range(1 << n) if rng.random() < 0.5))
+        while (emb := find_embedding(fam, p, induced=True)) is not None:
+            drop = rng.choice(emb)
+            fam = SetFamily(n, tuple(m for i, m in enumerate(fam.masks) if i != drop))
+            drops += 1
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        marks = sorted(rng.sample(range(n + d - 1), d - 1))
+        bounds = (0,) + tuple(m - j for j, m in enumerate(marks)) + (n,)
+        parts = tuple(tuple(perm[bounds[j] : bounds[j + 1]]) for j in range(d))
+        out.append((PermutationPartition(n, parts), fam))
+    return out, drops
+
+
+def test_freeness_check_matches_delete_and_rebuild(monkeypatch):
+    seen = []
+
+    def record(q, fam):
+        seen.append((q, fam))
+        return prefix_union_matrix(q, fam)
+
+    monkeypatch.setattr(doublecount, "prefix_union_matrix", record)
+    drops = 0
+    for name in ("diamond", "vee:2", "butterfly"):
+        p = builtin(name)
+        _, realizer = dimension(p)
+        for n in (4, 5):
+            for seed in range(4):
+                seen.clear()
+                prefix_matrix_freeness_check(p, realizer, 6, n=n, seed=seed)
+                want, dropped = _delete_and_rebuild(p, realizer.order_count, 6, n, seed)
+                assert seen == want, (name, n, seed)
+                drops += dropped
+    assert drops > 0

@@ -20,10 +20,9 @@ from posetmatrix import (
     vee,
 )
 from posetmatrix.family import (
-    _cube_tables,
-    _inclusion_tables,
     cube_order,
     cube_swaps,
+    inclusion_tables,
     occurrence_masks,
 )
 from posetmatrix.rng import make_rng
@@ -113,9 +112,24 @@ def test_family_file_round_trip(tmp_path):
         load_family(bad)
 
 
-def test_cube_tables_match_inclusion_tables():
-    for n in range(7):
-        assert _cube_tables(n) == _inclusion_tables(cube_order(n))
+def test_inclusion_tables_match_pairwise_definition():
+    def pairwise(masks):
+        # sup[i]: members j != i with masks[i] a subset of masks[j]; sub[i]: the reverse
+        k = range(len(masks))
+        sup = [sum(1 << j for j in k if j != i and masks[i] & ~masks[j] == 0) for i in k]
+        sub = [sum(1 << j for j in k if j != i and masks[j] & ~masks[i] == 0) for i in k]
+        return sup, sub
+
+    families = [cube_order(n) for n in range(9)] + [[], [0], [0, 5, 1], [6, 2, 0, 7]]
+    rng = make_rng(3, "fam:tables")
+    for _ in range(80):
+        n = rng.randint(0, 8)
+        masks = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 40)))
+        if masks and rng.random() < 0.5 and 0 not in masks:
+            masks[rng.randrange(len(masks))] = 0
+        families.append(masks)
+    for masks in families:
+        assert inclusion_tables(masks) == pairwise(masks), masks
 
 
 def test_cube_swaps_swap_adjacent_elements():

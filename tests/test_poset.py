@@ -28,6 +28,7 @@ from posetmatrix import (
     subposet_embeds,
     vee,
 )
+from posetmatrix.family import cube_order
 
 from conftest import mat
 
@@ -54,6 +55,16 @@ def test_builtin_shapes():
     bl = boolean_lattice(3)
     assert bl.n == 8 and height(bl) == 4
     assert bl.elements[0] == "{}" and bl.elements[-1] == "{1,2,3}"
+
+
+def test_boolean_lattice_is_strict_inclusion():
+    for m in range(6):
+        order = cube_order(m)
+        bl = boolean_lattice(m)
+        assert bl.n == len(order)
+        for i, s in enumerate(order):
+            assert bl.elements[i] == "{" + ",".join(str(e) for e in range(1, m + 1) if s >> e - 1 & 1) + "}"
+            assert bl.up[i] == sum(1 << j for j, t in enumerate(order) if s != t and s & t == s)
 
 
 def test_builtin_parser():
