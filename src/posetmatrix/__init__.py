@@ -33,7 +33,7 @@ from .doublecount import (
     prefix_union,
     prefix_union_matrix,
 )
-from .errors import CapExceeded, DimensionCapExceeded, InvariantError
+from .errors import CapExceeded, InvariantError
 from .extremal import (
     DiamondBoundResult,
     ExResult,

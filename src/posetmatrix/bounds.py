@@ -148,8 +148,7 @@ def _pattern_side_cap(d: int) -> int:
 
 def induced_bound_pipeline(
     p: Poset,
-    k_source: str = "mt",
-    supplied=None,
+    k_source: str,
     *,
     cache=None,
 ) -> dict:
@@ -158,8 +157,8 @@ def induced_bound_pipeline(
     the transfer coefficients 2^d K and 4^(d-1) (d-1)!/(d-1)^(d-1) K.
 
     k_source picks where K comes from: "mt" (2-dimensional only, the k=2
-    density constant), "exact" (empirical max of ex/n^(d-1) at small n, not
-    a proof), or "supplied".
+    density constant) or "exact" (empirical max of ex/n^(d-1) at small n,
+    not a proof).
     """
     d, realizer = dimension(p)
     if d < 2:
@@ -180,11 +179,6 @@ def induced_bound_pipeline(
             best = max(best, Fraction(value, n ** (d - 1)))
         k_value = best
         provenance = f"empirical max ex/n^(d-1) over n<={n_hi}; not a proof"
-    elif k_source == "supplied":
-        if supplied is None:
-            raise ValueError('k_source "supplied" needs a value')
-        k_value = Fraction(supplied)
-        provenance = "supplied"
     else:
         raise ValueError(f"unknown k_source {k_source!r}")
     coefficient = 2**d * k_value

@@ -22,6 +22,8 @@ from .hypermatrix import HyperMatrix, contains
 from .poset import Poset, Realizer, realizer_to_matrix
 from .rng import make_rng
 
+PARTITION_CAP = 10_000_000
+
 
 @dataclass(frozen=True)
 class PermutationPartition:
@@ -86,14 +88,14 @@ def partition_count(n: int, d: int) -> int:
     return factorial(n) * comb(n + d - 1, d - 1)
 
 
-def enumerate_partitions(n: int, d: int, cap: int = 10_000_000):
+def enumerate_partitions(n: int, d: int):
     """All partitions, permutation-major lexicographic then cut positions
-    ascending.  Raises immediately when the count would exceed cap."""
+    ascending.  Raises at once when there are more than PARTITION_CAP."""
     if n < 0 or d < 1:
         raise ValueError(f"need n >= 0 and d >= 1, got n={n} d={d}")
     total = partition_count(n, d)
-    if total > cap:
-        raise CapExceeded(f"{total} partitions exceeds the enumeration cap ({cap})")
+    if total > PARTITION_CAP:
+        raise CapExceeded(f"{total} partitions exceeds the enumeration cap ({PARTITION_CAP})")
     cut_tuples = list(combinations_with_replacement(range(n + 1), d - 1))
 
     def gen():

@@ -11,24 +11,26 @@ both relations and incomparabilities.
 from __future__ import annotations
 
 
-def degree_filter(p, sup: list[int], sub: list[int]) -> list[int]:
-    """For each source element x, the bitmask of targets whose up/down
-    degrees can accommodate x.
+def degree_filter(p, sup: list[int], sub: list[int], universe: int) -> list[int]:
+    """For each source element x, the bitmask of targets in `universe` whose
+    up/down degrees inside `universe` can accommodate x.
 
-    Valid for both modes: any embedding maps the up-set of x injectively into
-    the up-set of its image, and likewise below.
+    Valid for both modes: any embedding into `universe` maps the up-set of x
+    injectively into the up-set of its image there, and likewise below.
     """
-    t_count = len(sup)
-    sus = [m.bit_count() for m in sup]
-    sds = [m.bit_count() for m in sub]
+    degrees = [  # (target bit, up degree, down degree) inside universe
+        (1 << t, (sup[t] & universe).bit_count(), (sub[t] & universe).bit_count())
+        for t in range(len(sup))
+        if universe >> t & 1
+    ]
     out = []
     for x in range(p.n):
         need_up = p.up[x].bit_count()
         need_dn = p.down[x].bit_count()
         mask = 0
-        for t in range(t_count):
-            if sus[t] >= need_up and sds[t] >= need_dn:
-                mask |= 1 << t
+        for bit, up, dn in degrees:
+            if up >= need_up and dn >= need_dn:
+                mask |= bit
         out.append(mask)
     return out
 
@@ -46,12 +48,12 @@ def order_embeddings(p, sup: list[int], sub: list[int], universe: int, induced: 
         return
     if universe.bit_count() < k:
         return
-    allowed = degree_filter(p, sup, sub)
+    allowed = degree_filter(p, sup, sub, universe)
     assign = [0] * k
     less = p.less
 
     def candidates(x: int, used: int) -> int:
-        cand = universe & allowed[x] & ~used
+        cand = allowed[x] & ~used
         for y in range(x):
             t = assign[y]
             if less(y, x):

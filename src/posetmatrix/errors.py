@@ -19,8 +19,12 @@ class CapExceeded(RuntimeError):
     """An instance is larger than a configured search cap allows."""
 
 
-class DimensionCapExceeded(CapExceeded):
-    """No realizer with the allowed number of linear orders was found."""
+def json_int(value, what: str) -> int:
+    """value, a JSON integer field; a float or a bool (which int() would
+    silently truncate) raises InvariantError naming `what`."""
+    if type(value) is not int:
+        raise InvariantError(f"integer {what}", repr(value))
+    return value
 
 
 def load_json_file(path, what: str, build):

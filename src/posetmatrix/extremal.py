@@ -22,11 +22,12 @@ may be empty.
 The search also takes symmetries of the mask set, position permutations
 that are involutions, and cuts a node whose every completion one of them
 maps to a set the search reaches first (lex-leader symmetry breaking,
-Crawford, Ginsberg, Luks and Roy 1996).  The first maximum set found leads
-its own orbit, so values and witnesses do not depend on the symmetries
-given.  `la_exact` passes the swaps of adjacent elements of {1..n}
-(`family.cube_swaps`), which map every poset's copies onto themselves;
-`ex_exact` passes none.
+Crawford, Ginsberg, Luks and Roy 1996); each node keeps one bitset of the
+symmetries it still ties with.  The first maximum set found leads its own
+orbit, so values and witnesses do not depend on the symmetries given.
+`la_exact` passes the swaps of adjacent elements of {1..n}
+(`family.cube_swaps`), which map every poset's copies onto themselves and
+decide their comparisons in order; `ex_exact` passes none.
 
 Both also share one solve path (`_solve`) around the search: the size cap,
 the optional on-disk cache, and an independent re-check of every witness,
@@ -243,20 +244,26 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
     undecided cell with one already taken; each forces one more cell out.
 
     X and sym(X) can first differ only at a cell c < sym[c], where X at c
-    is compared with X at sym[c].  Each node also carries `ties`: for each
-    sym, the index of its first such comparison not yet decided, every
-    earlier one a tie (past the end once X has won one), and the bitset of
-    the cells those comparisons wait on.  Only deciding one of those cells
-    advances them.
+    is compared with X at sym[c].  A sym's comparisons are used in order of
+    c while their higher cells sym[c] also increase, each decided at its
+    higher cell; those after the first out of order are dropped, which only
+    weakens the cut.  `waits[pos]` holds (sym bit, lower cell) for each
+    comparison decided at pos, and each node carries `tied`, the bitset of
+    the syms whose comparisons so far all tie.  At pos, a tied sym whose
+    lower cell is taken loses to X in the child leaving pos out (its bit is
+    cleared); one whose lower cell is left out cuts the child taking pos.
     """
     if 0 in masks:
         raise ValueError("every mask must hold at least one cell")
-    low, high = [], []  # the comparisons of each sym, by its lower cell
-    wake = 0
-    for sym in syms:
-        low.append([c for c, d in enumerate(sym) if c < d])
-        high.append([d for c, d in enumerate(sym) if c < d] + [total])  # total: never decided
-        wake |= 1 << high[-1][0]
+    waits = [[] for _ in range(total)]
+    for k, sym in enumerate(syms):
+        last = -1
+        for c, d in enumerate(sym):
+            if c < d:
+                if d < last:
+                    break
+                waits[d].append((1 << k, c))
+                last = d
     cells = []  # the cells of each mask, highest first
     # through[c]: the masks that hold cell c, one bit per mask index; bytes
     # keep building linear in the number of masks
@@ -275,10 +282,10 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
     start = [bisect_left(masks, 1 << pos) for pos in range(total + 1)]
     top = [(1 << start[pos + 1]) - (1 << start[pos]) for pos in range(total)]
     best, best_cur = -1, 0
-    # next cell, chosen cells, their number, live masks, ties
-    stack = [(0, 0, 0, (1 << len(masks)) - 1, ((0,) * len(syms), wake))]
+    # next cell, chosen cells, their number, live masks, tied syms
+    stack = [(0, 0, 0, (1 << len(masks)) - 1, (1 << len(syms)) - 1)]
     while stack:
-        pos, cur, ones, live, ties = stack.pop()
+        pos, cur, ones, live, tied = stack.pop()
         slack = ones + total - pos - best
         if slack <= 0:
             continue
@@ -298,64 +305,18 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
                 free &= out[c]
         if not slack:
             continue
-        left = kept = ties
-        if ties[1] >> pos & 1:
-            left, kept = _advance(ties, cur, pos, low, high)
-        if left:
-            stack.append((pos + 1, cur, ones, live & out[pos], left))
-        if kept and not live & top[pos]:
-            stack.append((pos + 1, cur | 1 << pos, ones + 1, live, kept))
+        left = tied
+        take = not live & top[pos]
+        for bit, c in waits[pos]:
+            if tied & bit:
+                if cur >> c & 1:
+                    left ^= bit
+                else:
+                    take = False
+        stack.append((pos + 1, cur, ones, live & out[pos], left))
+        if take:
+            stack.append((pos + 1, cur | 1 << pos, ones + 1, live, tied))
     return best, best_cur
-
-
-def _advance(ties, cur, pos, low, high):
-    """The `ties` of the two children of a `_mask_search` node that decides
-    cell pos, cur holding the cells taken before it: (pos left out, pos
-    taken), None for a child that some sym cuts.
-
-    A sym waiting on pos compares X at its lower cell c with X at pos.  With
-    c taken, the child leaving pos wins and the one taking it ties; with c
-    left, the one taking pos is cut and the other ties.  The comparisons
-    after a tie that are already decided hold only cells below pos, so they
-    come out the same in both children and are run once.
-    """
-    at, wake = ties
-    wake ^= 1 << pos  # every sym waiting on pos moves on
-    left, kept = list(at), list(at)
-    left_wake = kept_wake = wake
-    left_ok = kept_ok = True
-    for k, i in enumerate(at):
-        lo, hi = low[k], high[k]
-        if hi[i] != pos:
-            continue
-        j = i + 1
-        while hi[j] < pos:
-            a = cur >> lo[j] & 1
-            if a == cur >> hi[j] & 1:
-                j += 1
-            elif a:  # X takes the first differing cell: this sym never cuts
-                j = len(lo)
-            else:
-                j = -1
-                break
-        if cur >> lo[i] & 1:
-            left[k] = len(lo)
-            if j < 0:
-                kept_ok = False
-            else:
-                kept[k] = j
-                kept_wake |= 1 << hi[j]
-        else:
-            kept_ok = False
-            if j < 0:
-                left_ok = False
-            else:
-                left[k] = j
-                left_wake |= 1 << hi[j]
-    return (
-        (tuple(left), left_wake) if left_ok else None,
-        (tuple(kept), kept_wake) if kept_ok else None,
-    )
 
 
 def ex_monotonicity_check(pattern: HyperMatrix, small, big, **caps) -> MonotonicityResult:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .embed import find_order_embedding, order_embeddings
-from .errors import InvariantError, load_json_file
+from .errors import InvariantError, json_int, load_json_file
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class SetFamily:
 def load_family_obj(obj) -> SetFamily:
     if not isinstance(obj, dict) or "n" not in obj or "sets" not in obj:
         raise InvariantError("family object shape", 'need "n" and "sets" keys')
-    return SetFamily.from_sets(int(obj["n"]), obj["sets"])
+    sets = [[json_int(e, "set element") for e in s] for s in obj["sets"]]
+    return SetFamily.from_sets(json_int(obj["n"], "ground set size"), sets)
 
 
 def load_family(path) -> SetFamily:

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations, product
 from math import comb, prod
 
-from .errors import InvariantError, load_json_file
+from .errors import InvariantError, json_int, load_json_file
 
 Coord = tuple[int, ...]
 
@@ -77,7 +77,8 @@ class HyperMatrix:
     def from_obj(cls, obj) -> "HyperMatrix":
         if not isinstance(obj, dict) or "dims" not in obj or "ones" not in obj:
             raise InvariantError("matrix object shape", 'need "dims" and "ones" keys')
-        return cls(tuple(obj["dims"]), tuple(tuple(o) for o in obj["ones"]))
+        dims = [json_int(s, "matrix side length") for s in obj["dims"]]
+        return cls(dims, [[json_int(c, "matrix coordinate") for c in o] for o in obj["ones"]])
 
 
 def load_matrix(path) -> HyperMatrix:
@@ -251,10 +252,6 @@ class BlockReport:
     wide: dict[Coord, tuple[int, ...]]
     nonempty: frozenset[Coord]
     coarse: HyperMatrix
-
-    @property
-    def block_count(self) -> int:
-        return prod(self.grid)
 
     def classify(self, block: Coord) -> str:
         if block in self.wide:

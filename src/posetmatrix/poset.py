@@ -10,10 +10,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 
 from .embed import find_order_embedding
-from .errors import CapExceeded, DimensionCapExceeded, InvariantError, load_json_file
+from .errors import CapExceeded, InvariantError, load_json_file
 from .family import cube_order, inclusion_tables
 from .hypermatrix import HyperMatrix
 
@@ -307,7 +307,7 @@ def is_realizer(p: Poset, r: Realizer) -> bool:
 DIMENSION_SIZE_CAP = 8
 
 
-def dimension(p: Poset, cap: int | None = None) -> tuple[int, Realizer]:
+def dimension(p: Poset) -> tuple[int, Realizer]:
     """Least t with a t-order realizer, plus the lexicographically least witness.
 
     Iterative deepening on t.  A tuple of extensions realizes p exactly when,
@@ -341,8 +341,6 @@ def dimension(p: Poset, cap: int | None = None) -> tuple[int, Realizer]:
                 mask |= 1 << bit[(x, y)]
         cover.append(mask)
     max_cover = max((c.bit_count() for c in cover), default=0)
-    t_cap = cap if cap is not None else p.n
-
     choice: list[int] = []
 
     def dfs(start: int, covered: int, slots: int) -> bool:
@@ -366,11 +364,11 @@ def dimension(p: Poset, cap: int | None = None) -> tuple[int, Realizer]:
             choice.pop()
         return False
 
-    for t in range(1, t_cap + 1):
+    # every poset has a realizer of at most p.n orders, so this returns
+    for t in count(1):
         choice.clear()
         if dfs(0, 0, t):
             return t, Realizer(tuple(exts[e] for e in choice))
-    raise DimensionCapExceeded(f"no realizer with at most {t_cap} linear orders")
 
 
 def realizer_to_matrix(p: Poset, r: Realizer) -> HyperMatrix:

@@ -107,8 +107,6 @@ def test_pipeline_diamond_routes():
     assert exact["K"] == "15/4"
     assert exact["coefficient"] == "15"
     assert "not a proof" in exact["K_provenance"]
-    sup = induced_bound_pipeline(diamond(), "supplied", supplied=4)
-    assert sup["coefficient"] == "16"
 
 
 def test_pipeline_rejects_misuse():
@@ -116,8 +114,6 @@ def test_pipeline_rejects_misuse():
         induced_bound_pipeline(chain(3), "mt")
     with pytest.raises(ValueError, match="2-dimensional"):
         induced_bound_pipeline(_standard_example_3(), "mt")
-    with pytest.raises(ValueError, match="supplied"):
-        induced_bound_pipeline(diamond(), "supplied")
     with pytest.raises(ValueError, match="k_source"):
         induced_bound_pipeline(diamond(), "guess")
 

@@ -86,6 +86,10 @@ def test_wrongly_typed_input_fields_exit_two(tmp_path, capsys):
         (("ex", "--dims", "2,2", "--pattern"), {"dims": [2, 2], "ones": [5]}),
         (("lubell", "--family"), {"n": 3, "sets": [5]}),
         (("lubell", "--family"), {"n": None, "sets": []}),
+        # int() would truncate each of these into a valid input
+        (("ex", "--dims", "2,2", "--pattern"), {"dims": [2.7, 2], "ones": [[1.2, 1]]}),
+        (("lubell", "--family"), {"n": 3, "sets": [[True], [2.9]]}),
+        (("lubell", "--family"), {"n": 3.9, "sets": [[3]]}),
     ]
     for i, (argv, obj) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

@@ -71,8 +71,9 @@ def test_enumerate_partitions_small():
 
 
 def test_enumerate_partitions_cap():
+    # 10! * C(12, 2) = 239,500,800 partitions, over PARTITION_CAP
     with pytest.raises(CapExceeded, match="cap"):
-        enumerate_partitions(10, 3, cap=1000)
+        enumerate_partitions(10, 3)
 
 
 def test_prefix_unions_are_distinct_per_partition():

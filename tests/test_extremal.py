@@ -190,6 +190,9 @@ def symmetric_mask_lists(draw):
 @example((3, [0b11, 0b110], [[2, 1, 0]]))
 # wrong if a sym that X has beaten still cuts at a later comparison
 @example((9, [40, 192], [[1, 0, 8, 7, 4, 6, 5, 3, 2]]))
+# swapping 1, 5 and 2, 6 compares in order; wrong if a sym X has beaten
+# stays tied, or if syms that are no longer tied still cut
+@example((8, [6, 62, 96, 122, 170], [[0, 5, 6, 3, 4, 1, 2, 7]]))
 def test_symmetric_mask_search_matches_trivial_group(instance):
     total, masks, syms = instance
     expected = brute_mask_search(total, masks)

@@ -19,6 +19,7 @@ from posetmatrix import (
     shifted_lubell,
     vee,
 )
+from posetmatrix.embed import degree_filter
 from posetmatrix.family import (
     cube_order,
     cube_swaps,
@@ -142,6 +143,23 @@ def test_cube_swaps_swap_adjacent_elements():
             for j, s in enumerate(order):
                 t = s & ~(a | b) | (a if s & b else 0) | (b if s & a else 0)
                 assert order[swap[j]] == t
+
+
+def test_cube_swaps_compare_in_order():
+    # each swap's higher cells increase with its lower ones, so the search
+    # decides its comparisons in order and uses every one of them
+    for n in range(9):
+        for swap in cube_swaps(n):
+            higher = [d for c, d in enumerate(swap) if c < d]
+            assert higher == sorted(higher), n
+
+
+def test_degree_filter_counts_inside_the_universe():
+    # {1,2} is the only proper superset of {1} and of {2}: with it outside
+    # the universe, neither can hold the bottom of a 2-chain
+    sup, sub = inclusion_tables([0b01, 0b11, 0b10])
+    assert degree_filter(chain(2), sup, sub, 0b111) == [0b101, 0b010]
+    assert degree_filter(chain(2), sup, sub, 0b101) == [0, 0]
 
 
 def test_occurrence_masks_invariant_under_cube_swaps():

@@ -4,7 +4,6 @@ import pytest
 
 from posetmatrix import (
     CapExceeded,
-    DimensionCapExceeded,
     HyperMatrix,
     InvariantError,
     Poset,
@@ -132,8 +131,6 @@ def test_dimension_known_values():
 
 
 def test_dimension_caps():
-    with pytest.raises(DimensionCapExceeded):
-        dimension(diamond(), cap=1)
     with pytest.raises(CapExceeded, match="cap"):
         dimension(boolean_lattice(4))
 
