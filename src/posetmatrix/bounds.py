@@ -146,19 +146,14 @@ def _pattern_side_cap(d: int) -> int:
     return min(4, n)
 
 
-def induced_bound_pipeline(
-    p: Poset,
-    k_source: str,
-    *,
-    cache=None,
-) -> dict:
-    """Middle-binomial induced-bound coefficient via the poset's permutation
-    matrix: dimension, realizer, a density constant K for the matrix, and
-    the transfer coefficients 2^d K and 4^(d-1) (d-1)!/(d-1)^(d-1) K.
+def induced_bound_pipeline(p: Poset, *, cache=None) -> dict:
+    """Middle-binomial induced-bound coefficients via the poset's permutation
+    matrix: its dimension d, then per source of a density constant K for the
+    matrix, the realizer, the matrix, K and the transfer coefficients 2^d K
+    and 4^(d-1) (d-1)!/(d-1)^(d-1) K.
 
-    k_source picks where K comes from: "mt" (2-dimensional only, the k=2
-    density constant) or "exact" (empirical max of ex/n^(d-1) at small n,
-    not a proof).
+    "exact" takes K as the empirical max of ex/n^(d-1) at small n (not a
+    proof); "mt", present when d = 2, the k=2 Marcus-Tardos constant.
     """
     d, realizer = dimension(p)
     if d < 2:
@@ -166,32 +161,31 @@ def induced_bound_pipeline(
             "total orders stay 1-dimensional; use the chain bound directly"
         )
     pattern = realizer_to_matrix(p, realizer)
-    if k_source == "mt":
-        if d != 2:
-            raise ValueError('k_source "mt" needs a 2-dimensional poset')
-        k_value = Fraction(MT_K2)
-        provenance = "marcus-tardos-constant(k=2)"
-    elif k_source == "exact":
-        n_hi = _pattern_side_cap(d)
-        best = Fraction(0)
-        for n in range(1, n_hi + 1):
-            value = ex_exact((n,) * d, [pattern], cache=cache).value
-            best = max(best, Fraction(value, n ** (d - 1)))
-        k_value = best
-        provenance = f"empirical max ex/n^(d-1) over n<={n_hi}; not a proof"
-    else:
-        raise ValueError(f"unknown k_source {k_source!r}")
-    coefficient = 2**d * k_value
-    refined = Fraction(4 ** (d - 1) * factorial(d - 1), (d - 1) ** (d - 1)) * k_value
-    return {
+
+    def route(k_value: Fraction, provenance: str) -> dict:
+        refined = Fraction(4 ** (d - 1) * factorial(d - 1), (d - 1) ** (d - 1)) * k_value
+        return {
+            "dimension": d,
+            "realizer": [list(ext) for ext in realizer.labelled(p)],
+            "pattern": pattern.to_obj(),
+            "K": str(k_value),
+            "K_provenance": provenance,
+            "coefficient": str(2**d * k_value),
+            "refined_coefficient": str(refined),
+        }
+
+    n_hi = _pattern_side_cap(d)
+    k_exact = max(
+        Fraction(ex_exact((n,) * d, [pattern], cache=cache).value, n ** (d - 1))
+        for n in range(1, n_hi + 1)
+    )
+    out = {
         "dimension": d,
-        "realizer": [list(ext) for ext in realizer.labelled(p)],
-        "pattern": pattern.to_obj(),
-        "K": str(k_value),
-        "K_provenance": provenance,
-        "coefficient": str(coefficient),
-        "refined_coefficient": str(refined),
+        "exact": route(k_exact, f"empirical max ex/n^(d-1) over n<={n_hi}; not a proof"),
     }
+    if d == 2:
+        out["mt"] = route(Fraction(MT_K2), "marcus-tardos-constant(k=2)")
+    return out
 
 
 def bounds_table(p: Poset, *, cache=None) -> dict:
@@ -225,16 +219,10 @@ def bounds_table(p: Poset, *, cache=None) -> dict:
     else:
         table["bukh_tree"] = {"applies": False}
     try:
-        pipe: dict = {"available": True}
-        exact = induced_bound_pipeline(p, "exact", cache=cache)
-        pipe["dimension"] = exact["dimension"]
-        pipe["exact"] = exact
-        if exact["dimension"] == 2:
-            pipe["mt"] = induced_bound_pipeline(p, "mt", cache=cache)
-        table["induced_pipeline"] = pipe
+        table["induced_pipeline"] = {"available": True, **induced_bound_pipeline(p, cache=cache)}
     except (ValueError, CapExceeded) as exc:
         table["induced_pipeline"] = {"available": False, "reason": str(exc)}
-    if p.n <= 8 and is_isomorphic(p, diamond()):
+    if is_isomorphic(p, diamond()):
         # forbidding all sixteen 2-dimensional diamond patterns caps the
         # grid density at 4n, giving a sharper transfer constant
         table["diamond_direct"] = {"K": "4", "coefficient": "16"}

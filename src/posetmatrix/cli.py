@@ -185,8 +185,10 @@ def _cmd_ex(args) -> dict:
     dims = tuple(int(x) for x in args.dims.split(","))
     patterns = [load_matrix(path) for path in args.pattern]
     for directory in args.pattern_set:
-        for path in sorted(Path(directory).glob("*.json")):
-            patterns.append(load_matrix(path))
+        paths = sorted(Path(directory).glob("*.json"))
+        if not paths:
+            raise ValueError(f"--pattern-set {directory}: not a directory of *.json pattern files")
+        patterns.extend(load_matrix(path) for path in paths)
     if not patterns:
         raise ValueError("need at least one pattern (--pattern or --pattern-set)")
     result = ex_exact(dims, patterns, allow_over_cap=args.cap_override, cache=_cache(args))

@@ -30,18 +30,22 @@ orbit, so values and witnesses do not depend on the symmetries given.
 decide their comparisons in order; `ex_exact` passes none.
 
 Both also share one solve path (`_solve`) around the search: the size cap,
-the optional on-disk cache, and an independent re-check of every witness,
-fresh or cached.  `ex_exact` and `la_exact` supply only their cache key,
-search, entry codec and re-check.
+the optional on-disk cache, and a re-check of every witness, fresh or
+cached.  Its one codec names each position by a label, a cell's coordinates
+for `ex` and a set's sorted elements for `la`: a cache entry is the value
+and the labels of the chosen positions, and is read back by looking each
+label up.  `ex_exact` and `la_exact` supply only their cache key, their
+labels, their search and a witness builder that re-checks what it builds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import prod
 from typing import NamedTuple
 
 from .cache import ResultCache
-from .errors import CapExceeded
+from .errors import CapExceeded, json_int
 from .family import SetFamily, cube_order, cube_swaps, family_contains
 from .family import occurrence_masks as family_masks
 from .hypermatrix import HyperMatrix, all_cells, contains, occurrence_masks
@@ -51,9 +55,9 @@ ENGINE_VERSION = 1
 DEFAULT_CELL_CAP = 36
 DEFAULT_LA_CAP = 5
 
-# what a corrupt cached entry raises while it is decoded or re-checked; json
-# reads Infinity and 1e999 as inf, on which int() raises OverflowError
-_BAD_ENTRY = (RuntimeError, ValueError, KeyError, TypeError, OverflowError)
+# what a corrupt cached entry raises while it is decoded or re-checked: an
+# unknown label is a KeyError, an unhashable one a TypeError
+_BAD_ENTRY = (RuntimeError, ValueError, KeyError, TypeError)
 
 
 class ExResult(NamedTuple):
@@ -103,9 +107,7 @@ def ex_exact(
     if not dims or any(x < 1 for x in dims):
         raise ValueError(f"bad dims {dims}")
     pats = _check_patterns(dims, patterns)
-    total = 1
-    for x in dims:
-        total *= x
+    total = prod(dims)
     key = {
         "kind": "ex",
         "engine": ENGINE_VERSION,
@@ -113,29 +115,18 @@ def ex_exact(
         "patterns": [a.to_obj() for a in pats],
     }
 
-    def search() -> ExResult:
-        cells = all_cells(dims)
-        value, chosen = _mask_search(len(cells), occurrence_masks(dims, pats))
-        ones = tuple(c for i, c in enumerate(cells) if chosen >> i & 1)
-        return ExResult(value, HyperMatrix(dims, ones))
-
-    def decode(hit) -> ExResult:
-        ones = tuple(tuple(c) for c in hit["witness"])
-        return ExResult(int(hit["value"]), HyperMatrix(dims, ones))
-
-    def encode(result: ExResult) -> dict:
-        return {"value": result.value, "witness": result.witness.to_obj()["ones"]}
-
-    def recheck(result: ExResult) -> None:
-        if result.witness.weight != result.value:
-            raise RuntimeError("extremal witness does not attain the reported value")
-        if any(contains(result.witness, a) for a in pats):
+    def witness(ones) -> HyperMatrix:
+        host = HyperMatrix(dims, ones)
+        if any(contains(host, a) for a in pats):
             raise RuntimeError("extremal witness contains a forbidden pattern")
+        return host
 
-    return _solve(
-        total, DEFAULT_CELL_CAP, f"{total} cells", allow_over_cap,
-        key, cache, search, decode, encode, recheck,
-    )
+    return ExResult(*_solve(
+        key, cache, total, DEFAULT_CELL_CAP, f"{total} cells", allow_over_cap,
+        lambda: all_cells(dims),
+        lambda: _mask_search(total, occurrence_masks(dims, pats)),
+        witness,
+    ))
 
 
 def la_exact(
@@ -160,60 +151,71 @@ def la_exact(
         "induced": induced,
     }
 
-    def search() -> LaResult:
-        ground = cube_order(n)
-        value, chosen = _mask_search(
-            len(ground), family_masks(n, p, induced), cube_swaps(n)
-        )
-        masks = tuple(s for i, s in enumerate(ground) if chosen >> i & 1)
-        return LaResult(value, SetFamily(n, masks))
-
-    def decode(hit) -> LaResult:
-        return LaResult(int(hit["value"]), SetFamily.from_sets(n, hit["witness"]))
-
-    def encode(result: LaResult) -> dict:
-        return {"value": result.value, "witness": result.witness.to_obj()["sets"]}
-
-    def recheck(result: LaResult) -> None:
-        if result.witness.size != result.value:
-            raise RuntimeError("family witness does not attain the reported value")
-        if family_contains(result.witness, p, induced):
+    def witness(sets) -> SetFamily:
+        fam = SetFamily.from_sets(n, sets)
+        if family_contains(fam, p, induced):
             raise RuntimeError("family witness contains the forbidden poset")
+        return fam
 
-    return _solve(
-        n, DEFAULT_LA_CAP, f"ground set size {n}", allow_over_cap,
-        key, cache, search, decode, encode, recheck,
-    )
+    return LaResult(*_solve(
+        key, cache, n, DEFAULT_LA_CAP, f"ground set size {n}", allow_over_cap,
+        lambda: SetFamily(n, cube_order(n)).to_obj()["sets"],
+        lambda: _mask_search(1 << n, family_masks(n, p, induced), cube_swaps(n)),
+        witness,
+    ))
 
 
-def _solve(size, cap, size_text, allow_over_cap, key, cache, search, decode, encode, recheck):
-    """The size cap, cache policy and witness re-check of `ex_exact` and
-    `la_exact` around their `search`.
+def _solve(key, cache, size, cap, size_text, allow_over_cap, labels, search, witness):
+    """(value, witness) for `ex_exact` and `la_exact`: the size cap, the
+    cache and the witness check around their search.
 
-    A cached entry is returned only if `decode` reads it and `recheck`
-    passes it; one that raises `_BAD_ENTRY` either way counts as a miss, and
-    the recomputed result overwrites it.  A fresh result that fails
-    `recheck` raises and is not stored.
+    `labels()` lists a JSON label per position, `search()` returns the value
+    and the bitmask of the positions it chose, and `witness(chosen)` builds
+    the witness from the labels of the chosen positions, raising
+    RuntimeError if it holds a forbidden copy.  None of them runs on an
+    instance over the cap.
+
+    A cache entry is the value and the chosen labels in position order.  An
+    entry whose labels are not distinct known positions, whose value is not
+    their number, or whose witness raises counts as a miss, and the
+    recomputed result overwrites it.  A fresh result that fails raises and
+    is not stored.
     """
     if size > cap and not allow_over_cap:
         raise CapExceeded(
             f"{size_text} exceeds the exact search cap ({cap}); "
             "pass allow_over_cap=True (CLI: --cap-override) to run anyway"
         )
+    labels = labels()
+    if cache is not None and (hit := cache.get(key)) is not None:
+        try:
+            index = {tuple(label): i for i, label in enumerate(labels)}
+            chosen = 0
+            for label in hit["witness"]:
+                chosen |= 1 << index[tuple(label)]
+            if chosen.bit_count() != len(hit["witness"]):
+                raise ValueError("cached witness repeats a position")
+            return _attained(json_int(hit["value"], "cached value"), chosen, labels, witness)
+        except _BAD_ENTRY:
+            pass
+    value, chosen = search()
+    result = _attained(value, chosen, labels, witness)
     if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            try:
-                result = decode(hit)
-                recheck(result)
-                return result
-            except _BAD_ENTRY:
-                pass
-    result = search()
-    recheck(result)
-    if cache is not None:
-        cache.put(key, encode(result))
+        cache.put(key, {"value": value, "witness": _picked(labels, chosen)})
     return result
+
+
+def _attained(value: int, chosen: int, labels, witness) -> tuple:
+    """(value, witness) for the positions in bitmask `chosen`, which must
+    number `value`; `witness` re-checks what it builds."""
+    if chosen.bit_count() != value:
+        raise RuntimeError("witness does not attain the reported value")
+    return value, witness(_picked(labels, chosen))
+
+
+def _picked(labels, chosen: int) -> list:
+    """The labels of the positions in bitmask `chosen`, in position order."""
+    return [label for i, label in enumerate(labels) if chosen >> i & 1]
 
 
 def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
@@ -330,13 +332,7 @@ def ex_monotonicity_check(pattern: HyperMatrix, small, big, **caps) -> Monotonic
         raise ValueError(f"{small} must be coordinatewise at most {big}")
     exs = ex_exact(small, [pattern], **caps).value
     exb = ex_exact(big, [pattern], **caps).value
-    cs = 1
-    for x in small:
-        cs *= x
-    cb = 1
-    for x in big:
-        cb *= x
-    return MonotonicityResult(exb * cs <= exs * cb, exs, exb)
+    return MonotonicityResult(exb * prod(small) <= exs * prod(big), exs, exb)
 
 
 def tardos_diamond_check(n: int, **caps) -> DiamondBoundResult:
@@ -368,4 +364,4 @@ def random_free_matrix(dims, patterns, rng) -> HyperMatrix:
         bit = 1 << i
         if all(m & cur != m ^ bit for m in through[i]):
             cur |= bit
-    return HyperMatrix(dims, tuple(c for i, c in enumerate(cells) if cur >> i & 1))
+    return HyperMatrix(dims, _picked(cells, cur))

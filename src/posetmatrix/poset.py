@@ -103,9 +103,9 @@ class Poset:
         }
 
     @classmethod
-    def from_pairs(cls, elements, pairs, *, close: bool = False) -> "Poset":
-        """Build from (below, above) label pairs; close=True takes the
-        transitive closure first (cover-list input)."""
+    def from_pairs(cls, elements, pairs) -> "Poset":
+        """Build from (below, above) label pairs, closed transitively, so a
+        cover list is enough."""
         elements = tuple(str(e) for e in elements)
         pos = {e: i for i, e in enumerate(elements)}
         if len(pos) != len(elements):
@@ -115,27 +115,28 @@ class Poset:
             if a not in pos or b not in pos:
                 raise InvariantError("relation over listed elements", f"({a}, {b})")
             up[pos[a]] |= 1 << pos[b]
-        if close:
-            changed = True
-            while changed:
-                changed = False
-                for i in range(len(elements)):
-                    m = up[i]
-                    acc = m
-                    while m:
-                        j = (m & -m).bit_length() - 1
-                        m &= m - 1
-                        acc |= up[j]
-                    if acc != up[i]:
-                        up[i] = acc
-                        changed = True
+        # Warshall: after step k, i is below j whenever a chain from i to j
+        # passes only through elements 0..k
+        for k in range(len(up)):
+            for i in range(len(up)):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         return cls(elements, tuple(up))
 
 
 def load_poset_obj(obj) -> Poset:
     if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
         raise InvariantError("poset object shape", 'need "elements" and "covers" keys')
-    return Poset.from_pairs(obj["elements"], [tuple(p) for p in obj["covers"]], close=True)
+    elements, covers = obj["elements"], obj["covers"]
+    if not _strings(elements):
+        raise InvariantError("poset elements are a list of strings", repr(elements))
+    if not isinstance(covers, list) or not all(_strings(c) and len(c) == 2 for c in covers):
+        raise InvariantError("poset covers are [below, above] string pairs", repr(covers))
+    return Poset.from_pairs(elements, covers)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(e, str) for e in value)
 
 
 def load_poset_file(path) -> Poset:
@@ -161,21 +162,20 @@ def antichain(k: int) -> Poset:
 
 def diamond() -> Poset:
     # a < b, c < d with b, c incomparable
-    return Poset.from_pairs("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], close=True)
+    return Poset.from_pairs("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 
 
 def vee(r: int) -> Poset:
     """One minimum below r pairwise incomparable elements."""
     _positive(r)
     tops = [f"b{i + 1}" for i in range(r)]
-    return Poset.from_pairs(["a"] + tops, [("a", t) for t in tops], close=True)
+    return Poset.from_pairs(["a"] + tops, [("a", t) for t in tops])
 
 
 def butterfly() -> Poset:
     return Poset.from_pairs(
         ["a1", "a2", "b1", "b2"],
         [(a, b) for a in ("a1", "a2") for b in ("b1", "b2")],
-        close=True,
     )
 
 

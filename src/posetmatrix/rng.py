@@ -16,5 +16,5 @@ def derive_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def make_rng(seed: int, tag: str = "") -> random.Random:
-    return random.Random(derive_seed(seed, tag) if tag else seed)
+def make_rng(seed: int, tag: str) -> random.Random:
+    return random.Random(derive_seed(seed, tag))

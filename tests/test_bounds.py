@@ -98,12 +98,14 @@ def test_middle_levels_free_and_estimate():
 
 
 def test_pipeline_diamond_routes():
-    mt = induced_bound_pipeline(diamond(), "mt")
+    pipe = induced_bound_pipeline(diamond())
+    assert pipe["dimension"] == 2
+    mt = pipe["mt"]
     assert mt["dimension"] == 2
     assert mt["K"] == "192"
     assert mt["coefficient"] == "768"
     assert mt["refined_coefficient"] == "768"
-    exact = induced_bound_pipeline(diamond(), "exact")
+    exact = pipe["exact"]
     assert exact["K"] == "15/4"
     assert exact["coefficient"] == "15"
     assert "not a proof" in exact["K_provenance"]
@@ -111,15 +113,14 @@ def test_pipeline_diamond_routes():
 
 def test_pipeline_rejects_misuse():
     with pytest.raises(ValueError, match="chain"):
-        induced_bound_pipeline(chain(3), "mt")
-    with pytest.raises(ValueError, match="2-dimensional"):
-        induced_bound_pipeline(_standard_example_3(), "mt")
-    with pytest.raises(ValueError, match="k_source"):
-        induced_bound_pipeline(diamond(), "guess")
+        induced_bound_pipeline(chain(3))
+    # the Marcus-Tardos constant is for 2-dimensional posets only
+    pipe = induced_bound_pipeline(_standard_example_3())
+    assert pipe["dimension"] == 3 and "mt" not in pipe
 
 
 def test_pipeline_dim3_exact_route():
-    got = induced_bound_pipeline(_standard_example_3(), "exact")
+    got = induced_bound_pipeline(_standard_example_3())["exact"]
     assert got["dimension"] == 3
     # the 6^3 pattern never fits in a 3^3 box, so the empirical K is the
     # full cube density
@@ -153,4 +154,4 @@ def _standard_example_3() -> Poset:
     bots = ["1", "2", "3"]
     tops = ["12", "13", "23"]
     pairs = [(b, t) for b in bots for t in tops if b in t]
-    return Poset.from_pairs(bots + tops, pairs, close=True)
+    return Poset.from_pairs(bots + tops, pairs)

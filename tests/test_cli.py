@@ -64,6 +64,20 @@ def test_ex_pattern_set_directory(tmp_path, capsys):
     assert obj["value"] == 5
 
 
+def test_ex_pattern_set_must_hold_patterns(tmp_path, capsys):
+    pat = tmp_path / "id2.json"
+    dump_matrix(identity_matrix(2), pat)
+    (tmp_path / "empty").mkdir()
+    for where in (tmp_path / "no_such_dir", pat, tmp_path / "empty"):
+        code, out, err = invoke(
+            capsys, "--no-cache", "ex", "--dims", "3,3", "--pattern", str(pat),
+            "--pattern-set", str(where),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(where) in err
+
+
 def test_ex_requires_patterns(capsys):
     code, out, err = invoke(capsys, "--no-cache", "ex", "--dims", "3,3")
     assert code == 2
@@ -82,6 +96,13 @@ def test_wrongly_typed_input_fields_exit_two(tmp_path, capsys):
     cases = [
         (("poset", "info"), {"elements": ["a", "b"], "covers": [[["a"], "b"]]}),
         (("poset", "info"), {"elements": 5, "covers": []}),
+        # a string is a sequence, so these read as elements a, b, c and the
+        # cover (a, b); numeric labels would not match their own covers
+        (("poset", "info"), {"elements": "abc", "covers": []}),
+        (("poset", "info"), {"elements": ["a", "b"], "covers": ["ab"]}),
+        (("poset", "info"), {"elements": [1, 2], "covers": [[1, 2]]}),
+        (("poset", "info"), {"elements": ["a", "b"], "covers": [["a", "b", "a"]]}),
+        (("poset", "info"), {"elements": ["a", "b"], "covers": {"a": "b"}}),
         (("ex", "--dims", "2,2", "--pattern"), {"dims": 5, "ones": []}),
         (("ex", "--dims", "2,2", "--pattern"), {"dims": [2, 2], "ones": [5]}),
         (("lubell", "--family"), {"n": 3, "sets": [5]}),

@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations
 
 import pytest
@@ -333,6 +334,66 @@ def test_parent_format_cache_entries_are_served_without_search(tmp_cache, monkey
     assert (res.value, res.witness.to_obj()["sets"]) == (6, la_witness)
 
 
+def test_cache_files_hold_the_chosen_labels(tmp_cache):
+    # the bytes of each file, spelled out: a change to the entry layout shows
+    ex_exact((3, 3), [identity_matrix(2)], cache=tmp_cache)
+    la_exact(3, diamond(), True, cache=tmp_cache)
+    files = {f.name[:8]: f.read_text() for f in tmp_cache.root.glob("*.json")}
+    assert files == {
+        "dce5f5bd": '{"key":{"dims":[3,3],"engine":1,"kind":"ex","patterns":'
+        '[{"dims":[2,2],"ones":[[1,1],[2,2]]}]},"schema":1,"value":5,'
+        '"witness":[[1,1],[1,2],[1,3],[2,1],[3,1]]}\n',
+        "78afb829": '{"key":{"engine":1,"induced":true,"kind":"la","n":3,"poset":'
+        '{"covers":[["a","b"],["a","c"],["b","d"],["c","d"]],"elements":["a","b","c","d"]}},'
+        '"schema":1,"value":6,"witness":[[1],[2],[3],[1,2],[1,3],[2,3]]}\n',
+    }
+
+
+@pytest.mark.parametrize(
+    "value, witness",
+    [
+        (5, [[1, 1], [1, 2], [1, 3], [2, 1], [2, 1]]),  # a repeated position
+        (5, [[1, 1], [1, 2], [1, 3], [2, 1], [4, 1]]),  # no such cell in 3x3
+        (5, [[1, 1], [1, 2], [1, 3], [2, 1], "31"]),  # a label that is no cell
+        (True, [[1, 1]]),
+        ("5", [[1, 1], [1, 2], [1, 3], [2, 1], [3, 1]]),
+        (4, [[1, 1], [1, 2], [1, 3], [2, 1], [3, 1]]),  # five cells, not four
+    ],
+)
+def test_forged_ex_entry_is_a_miss(tmp_cache, value, witness):
+    id2 = identity_matrix(2)
+    cold = ex_exact((3, 3), [id2], cache=tmp_cache)
+    entry, record = _forge_entry(tmp_cache, value, witness)
+    assert ex_exact((3, 3), [id2], cache=tmp_cache) == cold
+    assert json.loads(entry.read_text()) == record
+
+
+@pytest.mark.parametrize(
+    "value, witness",
+    [
+        (6, [[1], [2], [3], [1, 2], [1, 3], [1, 3]]),  # a repeated position
+        (6, [[1], [2], [3], [1, 2], [1, 3], [2, 4]]),  # no such set at n=3
+        (6, [[1], [2], [3], [1, 2], [1, 3], [3, 2]]),  # elements not sorted
+        (True, [[1]]),
+        ("6", [[1], [2], [3], [1, 2], [1, 3], [2, 3]]),
+    ],
+)
+def test_forged_la_entry_is_a_miss(tmp_cache, value, witness):
+    cold = la_exact(3, diamond(), True, cache=tmp_cache)
+    entry, record = _forge_entry(tmp_cache, value, witness)
+    assert la_exact(3, diamond(), True, cache=tmp_cache) == cold
+    assert json.loads(entry.read_text()) == record
+
+
+def test_over_cap_raises_before_listing_positions():
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="1000000000000 cells"):
+        ex_exact((10**4,) * 3, [identity_matrix(2, 3)])
+    with pytest.raises(CapExceeded, match="ground set size 40"):
+        la_exact(40, chain(2), False)
+    assert time.perf_counter() - start < 1
+
+
 def test_fresh_result_failing_recheck_raises(tmp_cache, monkeypatch):
     # an engine fault that takes every position must not pass or be cached
     monkeypatch.setattr(extremal, "_mask_search", lambda total, masks, syms=(): (total, (1 << total) - 1))
@@ -424,7 +485,7 @@ def small_posets(draw, max_size=3):
     k = draw(st.integers(1, max_size))
     labels = [str(i) for i in range(k)]
     pairs = draw(st.sets(st.sampled_from(list(combinations(labels, 2))))) if k > 1 else set()
-    return Poset.from_pairs(labels, pairs, close=True)
+    return Poset.from_pairs(labels, pairs)
 
 
 @settings(max_examples=60, deadline=None, database=None)

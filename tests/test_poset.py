@@ -37,7 +37,7 @@ def standard_example_3() -> Poset:
     bots = ["1", "2", "3"]
     tops = ["12", "13", "23"]
     pairs = [(b, t) for b in bots for t in tops if b in t]
-    return Poset.from_pairs(bots + tops, pairs, close=True)
+    return Poset.from_pairs(bots + tops, pairs)
 
 
 def test_builtin_shapes():
@@ -91,19 +91,25 @@ def test_validation_catches_bad_orders():
 
 
 def test_from_pairs_closure():
-    p = Poset.from_pairs("abc", [("a", "b"), ("b", "c")], close=True)
+    p = Poset.from_pairs("abc", [("a", "b"), ("b", "c")])
     assert p.less(0, 2)
     assert height(p) == 3
-    # without closure the same input is rejected
+    # covers given in any order close to the whole chain
+    q = Poset.from_pairs("abcd", [("c", "d"), ("a", "b"), ("b", "c")])
+    assert q.up == (0b1110, 0b1100, 0b1000, 0)
+    # the same table given directly, without closure, is rejected
     with pytest.raises(InvariantError, match="transitive"):
-        Poset.from_pairs("abc", [("a", "b"), ("b", "c")], close=False)
+        Poset(("a", "b", "c"), (0b010, 0b100, 0))
+    # a cycle closes to an element below itself
+    with pytest.raises(InvariantError, match="irreflexive"):
+        Poset.from_pairs("ab", [("a", "b"), ("b", "a")])
 
 
 def test_covers_and_round_trip():
     d = diamond()
     assert set(d.covers) == {(0, 1), (0, 2), (1, 3), (2, 3)}
     again = Poset.from_pairs(
-        d.to_obj()["elements"], [tuple(c) for c in d.to_obj()["covers"]], close=True
+        d.to_obj()["elements"], [tuple(c) for c in d.to_obj()["covers"]]
     )
     assert again.up == d.up
 
