@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, InvariantError
 from .embed import find_order_embedding
-from .family import SetFamily, inclusion_tables
+from .family import SetFamily, elements, inclusion_tables
 from .hypermatrix import HyperMatrix, contains
 from .poset import Poset, Realizer, realizer_to_matrix
 from .rng import make_rng
@@ -75,12 +75,12 @@ def prefix_union(q: PermutationPartition, idx) -> frozenset[int]:
     idx = tuple(int(i) for i in idx)
     if len(idx) != q.d:
         raise ValueError(f"index vector has {len(idx)} entries for {q.d} parts")
-    out: set[int] = set()
-    for part, i in zip(q.parts, idx):
-        if i < 1 or i > len(part) + 1:
-            raise ValueError(f"index {i} out of range 1..{len(part) + 1}")
-        out.update(part[: i - 1])
-    return frozenset(out)
+    union = 0
+    for row, i in zip(_prefix_mask_lists(q), idx):
+        if i < 1 or i > len(row):
+            raise ValueError(f"index {i} out of range 1..{len(row)}")
+        union |= row[i - 1]
+    return frozenset(elements(union))
 
 
 def partition_count(n: int, d: int) -> int:
@@ -97,15 +97,15 @@ def enumerate_partitions(n: int, d: int):
     if total > PARTITION_CAP:
         raise CapExceeded(f"{total} partitions exceeds the enumeration cap ({PARTITION_CAP})")
     cut_tuples = list(combinations_with_replacement(range(n + 1), d - 1))
+    perms = permutations(range(1, n + 1))
+    return (_split(perm, cuts) for perm in perms for cuts in cut_tuples)
 
-    def gen():
-        for perm in permutations(range(1, n + 1)):
-            for cuts in cut_tuples:
-                bounds = (0,) + cuts + (n,)
-                parts = tuple(perm[bounds[j] : bounds[j + 1]] for j in range(d))
-                yield PermutationPartition(n, parts)
 
-    return gen()
+def _split(perm, cuts) -> PermutationPartition:
+    """perm cut into runs before each position in the ascending cuts."""
+    bounds = (0, *cuts, len(perm))
+    runs = tuple(tuple(perm[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return PermutationPartition(len(perm), runs)
 
 
 def count_partitions_with_prefix(n: int, d: int, f: int) -> int:
@@ -121,6 +121,7 @@ def count_partitions_with_prefix(n: int, d: int, f: int) -> int:
 
 
 def _prefix_mask_lists(q: PermutationPartition) -> list[list[int]]:
+    """Per part, the masks of its first 0, 1, .., len(part) entries."""
     lists = []
     for part in q.parts:
         acc = 0
@@ -132,15 +133,16 @@ def _prefix_mask_lists(q: PermutationPartition) -> list[list[int]]:
     return lists
 
 
+def _prefix_unions(q: PermutationPartition) -> list[int]:
+    """Each index vector's prefix union as a mask, vectors in lexicographic order."""
+    unions = [0]
+    for row in _prefix_mask_lists(q):
+        unions = [u | m for u in unions for m in row]
+    return unions
+
+
 def all_prefix_union_masks(q: PermutationPartition) -> set[int]:
-    masks = _prefix_mask_lists(q)
-    out = set()
-    for pick in product(*masks):
-        u = 0
-        for m in pick:
-            u |= m
-        out.add(u)
-    return out
+    return set(_prefix_unions(q))
 
 
 def prefix_union_matrix(q: PermutationPartition, fam: SetFamily) -> HyperMatrix:
@@ -149,16 +151,10 @@ def prefix_union_matrix(q: PermutationPartition, fam: SetFamily) -> HyperMatrix:
     if fam.n != q.n:
         raise ValueError(f"family ground set {fam.n} does not match partition {q.n}")
     member = set(fam.masks)
-    masks = _prefix_mask_lists(q)
     dims = tuple(len(part) + 1 for part in q.parts)
-    ones = []
-    for idx in product(*(range(1, s + 1) for s in dims)):
-        u = 0
-        for j, i in enumerate(idx):
-            u |= masks[j][i - 1]
-        if u in member:
-            ones.append(idx)
-    return HyperMatrix(dims, tuple(ones))
+    vectors = product(*(range(1, s + 1) for s in dims))
+    ones = tuple(idx for idx, u in zip(vectors, _prefix_unions(q)) if u in member)
+    return HyperMatrix(dims, ones)
 
 
 class FreenessReport(NamedTuple):
@@ -193,18 +189,14 @@ def prefix_matrix_freeness_check(
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         marks = sorted(rng.sample(range(n + d - 1), d - 1))
-        cuts = tuple(m - j for j, m in enumerate(marks))
-        bounds = (0,) + cuts + (n,)
-        q = PermutationPartition(
-            n, tuple(tuple(perm[bounds[j] : bounds[j + 1]]) for j in range(d))
-        )
+        q = _split(perm, [m - j for j, m in enumerate(marks)])
         matrix = prefix_union_matrix(q, fam)
         if contains(matrix, pattern):
             violations.append(
                 {
                     "trial": trial,
                     "partition": format_partition(q),
-                    "family": [sorted(s) for s in fam.sets()],
+                    "family": fam.to_obj()["sets"],
                 }
             )
     return FreenessReport(trials, seed, violations)

@@ -20,7 +20,7 @@ class CapExceeded(RuntimeError):
 
 
 def json_int(value, what: str) -> int:
-    """value, a JSON integer field; a float or a bool (which int() would
+    """value, an integer input field; a float or a bool (which int() would
     silently truncate) raises InvariantError naming `what`."""
     if type(value) is not int:
         raise InvariantError(f"integer {what}", repr(value))

@@ -17,6 +17,11 @@ from .embed import find_order_embedding, order_embeddings
 from .errors import InvariantError, json_int, load_json_file
 
 
+def elements(mask: int) -> list[int]:
+    """The elements of the set with this mask, ascending."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Distinct subsets of {1..n}, kept in the order given."""
@@ -42,18 +47,20 @@ class SetFamily:
         return len(self.masks)
 
     def sets(self) -> list[frozenset[int]]:
-        return [frozenset(i + 1 for i in range(self.n) if m >> i & 1) for m in self.masks]
+        return [frozenset(elements(m)) for m in self.masks]
 
     def to_obj(self) -> dict:
-        return {"n": self.n, "sets": [sorted(s) for s in self.sets()]}
+        return {"n": self.n, "sets": [elements(m) for m in self.masks]}
 
     @classmethod
     def from_sets(cls, n: int, sets) -> "SetFamily":
+        """From sets of elements of {1..n}; a float or bool n or element raises."""
+        n = json_int(n, "ground set size")
         masks = []
         for s in sets:
             m = 0
             for e in s:
-                e = int(e)
+                e = json_int(e, "set element")
                 if e < 1 or e > n:
                     raise InvariantError("set element out of range", f"{e} with n={n}")
                 m |= 1 << (e - 1)
@@ -64,8 +71,7 @@ class SetFamily:
 def load_family_obj(obj) -> SetFamily:
     if not isinstance(obj, dict) or "n" not in obj or "sets" not in obj:
         raise InvariantError("family object shape", 'need "n" and "sets" keys')
-    sets = [[json_int(e, "set element") for e in s] for s in obj["sets"]]
-    return SetFamily.from_sets(json_int(obj["n"], "ground set size"), sets)
+    return SetFamily.from_sets(obj["n"], obj["sets"])
 
 
 def load_family(path) -> SetFamily:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, count
+from operator import or_
 
 from .embed import find_order_embedding
 from .errors import CapExceeded, InvariantError, load_json_file
-from .family import cube_order, inclusion_tables
+from .family import cube_order, elements, inclusion_tables
 from .hypermatrix import HyperMatrix
 
 
@@ -112,6 +113,7 @@ class Poset:
             raise InvariantError("distinct element labels", f"{elements}")
         up = [0] * len(elements)
         for a, b in pairs:
+            a, b = str(a), str(b)
             if a not in pos or b not in pos:
                 raise InvariantError("relation over listed elements", f"({a}, {b})")
             up[pos[a]] |= 1 << pos[b]
@@ -184,7 +186,7 @@ def boolean_lattice(m: int) -> Poset:
     if m < 0:
         raise ValueError("m must be nonnegative")
     masks = cube_order(m)
-    label = ["{" + ",".join(str(i + 1) for i in range(m) if s >> i & 1) + "}" for s in masks]
+    label = ["{" + ",".join(map(str, elements(s))) + "}" for s in masks]
     return Poset(tuple(label), tuple(inclusion_tables(masks)[0]))
 
 
@@ -281,27 +283,41 @@ class Realizer:
         return [[p.elements[i] for i in ext] for ext in self.extensions]
 
 
+def _positions(ext) -> list[int]:
+    """pos[e]: the rank of element e in the linear order ext, from 0."""
+    pos = [0] * len(ext)
+    for rank, e in enumerate(ext):
+        pos[e] = rank
+    return pos
+
+
+def _reversal_masks(p: Poset, exts) -> tuple[int, list[int]]:
+    """Per linear order, its reversal mask: bit t is set when the order puts
+    y before x for the t-th ordered incomparable pair (x, y) of p.  Also
+    returns the mask with a bit for every such pair.  Linear extensions
+    realize p exactly when the OR of their reversal masks is that mask."""
+    inc = [pair for x, y in p.incomparable_pairs() for pair in ((x, y), (y, x))]
+    masks = []
+    for ext in exts:
+        pos = _positions(ext)
+        masks.append(sum(1 << t for t, (x, y) in enumerate(inc) if pos[y] < pos[x]))
+    return (1 << len(inc)) - 1, masks
+
+
 def is_realizer(p: Poset, r: Realizer) -> bool:
-    n = p.n
+    """Whether r is a nonempty tuple of linear extensions of p that
+    together reverse every ordered incomparable pair."""
     if not r.extensions:
         return False
-    positions = []
+    relations = p.relation_pairs()
     for ext in r.extensions:
-        if sorted(ext) != list(range(n)):
+        if sorted(ext) != list(range(p.n)):
             return False
-        pos = [0] * n
-        for rank, e in enumerate(ext):
-            pos[e] = rank
-        if any(pos[i] > pos[j] for i, j in p.relation_pairs()):
+        pos = _positions(ext)
+        if any(pos[i] > pos[j] for i, j in relations):
             return False
-        positions.append(pos)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                everywhere = all(pos[i] < pos[j] for pos in positions)
-                if everywhere != p.less(i, j):
-                    return False
-    return True
+    full, masks = _reversal_masks(p, r.extensions)
+    return reduce(or_, masks) == full
 
 
 DIMENSION_SIZE_CAP = 8
@@ -313,7 +329,7 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
     Iterative deepening on t.  A tuple of extensions realizes p exactly when,
     for every ordered incomparable pair (x, y), some extension puts y before
     x; so the search is a minimum cover of the reversal requirements by the
-    extensions' reversal sets, explored in enumeration order.
+    extensions' reversal masks, explored in enumeration order.
     """
     if p.n == 0:
         raise ValueError("empty poset")
@@ -322,24 +338,7 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
             f"poset has {p.n} elements, dimension search cap is {DIMENSION_SIZE_CAP}"
         )
     exts = list(linear_extensions(p))
-    inc = [
-        (i, j)
-        for i in range(p.n)
-        for j in range(p.n)
-        if i != j and not p.less(i, j) and not p.less(j, i)
-    ]
-    bit = {pair: t for t, pair in enumerate(inc)}
-    full = (1 << len(inc)) - 1
-    cover = []
-    for ext in exts:
-        pos = [0] * p.n
-        for rank, e in enumerate(ext):
-            pos[e] = rank
-        mask = 0
-        for x, y in inc:
-            if pos[y] < pos[x]:  # ext refutes x < y
-                mask |= 1 << bit[(x, y)]
-        cover.append(mask)
+    full, cover = _reversal_masks(p, exts)
     max_cover = max((c.bit_count() for c in cover), default=0)
     choice: list[int] = []
 
@@ -381,13 +380,8 @@ def realizer_to_matrix(p: Poset, r: Realizer) -> HyperMatrix:
         raise ValueError("empty poset")
     if not is_realizer(p, r):
         raise ValueError("the given orders do not realize the poset")
-    positions = []
-    for ext in r.extensions:
-        pos = [0] * p.n
-        for rank, e in enumerate(ext):
-            pos[e] = rank + 1
-        positions.append(pos)
-    ones = tuple(tuple(pos[e] for pos in positions) for e in range(p.n))
+    positions = [_positions(ext) for ext in r.extensions]
+    ones = tuple(tuple(pos[e] + 1 for pos in positions) for e in range(p.n))
     return HyperMatrix((p.n,) * len(r.extensions), ones)
 
 

@@ -9,6 +9,9 @@ a check without trials has None there and ignores the argument.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+
 from .doublecount import (
     all_prefix_union_masks,
     count_partitions_with_prefix,
@@ -17,7 +20,7 @@ from .doublecount import (
     prefix_matrix_freeness_check,
 )
 from .extremal import ex_exact, random_free_matrix, tardos_diamond_check
-from .family import SetFamily
+from .family import SetFamily, elements
 from .hypermatrix import (
     HyperMatrix,
     all_cells,
@@ -36,16 +39,15 @@ def _prefix_count_formula(trials, seed, cache, cap_override) -> dict:
     failures = []
     for n in range(0, 5):
         for d in range(1, 4):
-            counter: dict[int, int] = {}
-            for q in enumerate_partitions(n, d):
-                for mask in all_prefix_union_masks(q):
-                    counter[mask] = counter.get(mask, 0) + 1
+            counter = Counter(
+                chain.from_iterable(map(all_prefix_union_masks, enumerate_partitions(n, d)))
+            )
             for mask in range(1 << n):
                 want = count_partitions_with_prefix(n, d, mask.bit_count())
-                got = counter.get(mask, 0)
+                got = counter[mask]
                 if got != want:
                     failures.append(
-                        {"n": n, "d": d, "set": _mask_set(mask), "got": got, "want": want}
+                        {"n": n, "d": d, "set": elements(mask), "got": got, "want": want}
                     )
     return {"check": "prefix-count-formula", "ok": not failures, "failures": failures[:5]}
 
@@ -177,10 +179,6 @@ def _diamond_pattern_set(trials, seed, cache, cap_override) -> dict:
         rows.append({"n": n, "value": res.value, "bound": res.bound})
         ok = ok and res.holds
     return {"check": "diamond-pattern-set", "ok": ok, "values": rows}
-
-
-def _mask_set(mask: int) -> list[int]:
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # name -> (runner, default trials alone, default trials under `verify all`)

@@ -106,6 +106,35 @@ def test_count_formula_matches_enumeration():
             )
 
 
+def _union_of_prefixes(q, idx) -> frozenset:
+    # definition: the first idx[j]-1 entries of each part j, as a set
+    return frozenset(x for part, i in zip(q.parts, idx) for x in part[: i - 1])
+
+
+def _index_vectors(q):
+    return product(*(range(1, len(part) + 2) for part in q.parts))
+
+
+def test_prefix_union_matches_set_definition():
+    for n, d in product(range(0, 5), range(1, 4)):
+        for q in enumerate_partitions(n, d):
+            for idx in _index_vectors(q):
+                assert prefix_union(q, idx) == _union_of_prefixes(q, idx)
+
+
+def test_prefix_union_matrix_matches_set_definition():
+    rng = make_rng(0, "test:prefix-union-matrix")
+    for _ in range(60):
+        n, d = rng.randint(0, 5), rng.randint(1, 3)
+        fam = SetFamily(n, tuple(m for m in range(1 << n) if rng.random() < 0.5))
+        members = set(fam.sets())
+        q = rng.choice(list(enumerate_partitions(n, d)))
+        m = prefix_union_matrix(q, fam)
+        want = {v for v in _index_vectors(q) if _union_of_prefixes(q, v) in members}
+        assert m.dims == tuple(len(part) + 1 for part in q.parts)
+        assert set(m.ones) == want
+
+
 def test_prefix_union_matrix_small():
     q = parse_partition("12|")
     fam = SetFamily.from_sets(2, [{1}])

@@ -42,6 +42,13 @@ def test_family_validation():
         SetFamily.from_sets(2, [{3}])
 
 
+def test_from_sets_rejects_non_integers():
+    # int() would read 1.9 as 1 and True as 1
+    for n, sets in ((3, [[1.9]]), (3, [[True, 3]]), (3.0, [[1]]), (True, [[1]])):
+        with pytest.raises(InvariantError, match="integer"):
+            SetFamily.from_sets(n, sets)
+
+
 def test_sets_round_trip():
     fam = SetFamily.from_sets(3, [set(), {1, 3}, {2}])
     assert fam.masks == (0, 5, 2)

@@ -1,4 +1,5 @@
 import json
+from itertools import permutations, product
 
 import pytest
 
@@ -28,6 +29,7 @@ from posetmatrix import (
     vee,
 )
 from posetmatrix.family import cube_order
+from posetmatrix.poset import load_poset_obj
 
 from conftest import mat
 
@@ -105,6 +107,17 @@ def test_from_pairs_closure():
         Poset.from_pairs("ab", [("a", "b"), ("b", "a")])
 
 
+def test_from_pairs_labels_pairs_like_elements():
+    # element labels are str()-ed, so the pair labels are too
+    p = Poset.from_pairs([1, 2], [(1, 2)])
+    assert p.elements == ("1", "2") and p.up == (0b10, 0)
+    with pytest.raises(InvariantError, match="over listed elements"):
+        Poset.from_pairs([1, 2], [(1, 3)])
+    # JSON files still need string labels
+    with pytest.raises(InvariantError, match="string pairs"):
+        load_poset_obj({"elements": ["1", "2"], "covers": [[1, 2]]})
+
+
 def test_covers_and_round_trip():
     d = diamond()
     assert set(d.covers) == {(0, 1), (0, 2), (1, 3), (2, 3)}
@@ -149,6 +162,29 @@ def test_realizer_checks():
     assert not is_realizer(d, Realizer(((0, 1, 2, 3), (0, 1, 2, 3))))
     assert not is_realizer(d, Realizer(((0, 1, 2, 3),)))
     assert not is_realizer(d, Realizer(()))
+
+
+@pytest.mark.parametrize(
+    "spec", ["chain:3", "antichain:3", "diamond", "vee:2", "butterfly", "boolean:2"]
+)
+def test_is_realizer_matches_intersection_definition(spec):
+    # a realizer is a tuple of linear orders whose intersection is p: the
+    # pairs (a, b) with a before b in every order are exactly p's relations
+    p = builtin(spec)
+    relations = {(i, j) for i in range(p.n) for j in range(p.n) if p.less(i, j)}
+
+    def realizes(orders) -> bool:
+        before = [{(a, b) for k, a in enumerate(o) for b in o[k + 1 :]} for o in orders]
+        return set.intersection(*before) == relations
+
+    exts = list(linear_extensions(p))
+    perms = list(permutations(range(p.n)))
+    tuples = [t for k in (1, 2, 3) for t in product(exts, repeat=k)]
+    # orders that are not linear extensions, too
+    tuples += [t for k in (1, 2) for t in product(perms, repeat=k)]
+    assert any(realizes(t) for t in tuples)
+    for orders in tuples:
+        assert is_realizer(p, Realizer(orders)) == realizes(orders), orders
 
 
 def test_realizer_to_matrix_diamond():
