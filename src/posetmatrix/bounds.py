@@ -40,12 +40,15 @@ def chen_li_bound(p: Poset, m: int) -> Fraction:
     return Fraction(1, m + 1) * (p.n + Fraction(m * m + 3 * m - 2, 2) * (h - 1) - 1)
 
 
+def _best(bound, p: Poset, params) -> tuple[int, Fraction]:
+    """The parameter minimizing bound(p, parameter), the least on ties,
+    with that bound."""
+    value, param = min((bound(p, t), t) for t in params)
+    return param, value
+
+
 def best_chen_li(p: Poset) -> tuple[int, Fraction]:
-    best = min(
-        ((chen_li_bound(p, m), m) for m in range(1, max(1, p.n) + 1)),
-        key=lambda t: (t[0], t[1]),
-    )
-    return best[1], best[0]
+    return _best(chen_li_bound, p, range(1, max(1, p.n) + 1))
 
 
 def gmt_bound(p: Poset, k: int) -> Fraction:
@@ -57,11 +60,7 @@ def gmt_bound(p: Poset, k: int) -> Fraction:
 
 
 def best_gmt(p: Poset) -> tuple[int, Fraction]:
-    best = min(
-        ((gmt_bound(p, k), k) for k in range(2, p.n + 3)),
-        key=lambda t: (t[0], t[1]),
-    )
-    return best[1], best[0]
+    return _best(gmt_bound, p, range(2, p.n + 3))
 
 
 def marcus_tardos_constant(k: int) -> int:
@@ -131,7 +130,7 @@ def e_estimate(p: Poset, induced: bool) -> int:
     m = 1
     while m <= E_ESTIMATE_N_MAX + 1:
         ns = range(max(1, m - 1), E_ESTIMATE_N_MAX + 1)
-        if not ns or not all(middle_levels_free(n, m, p, induced) for n in ns):
+        if not all(middle_levels_free(n, m, p, induced) for n in ns):
             break
         est = m
         m += 1

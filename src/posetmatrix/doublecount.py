@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
 from typing import NamedTuple
 
-from .errors import CapExceeded, InvariantError
+from .errors import CapExceeded, InvariantError, json_int
 from .embed import find_order_embedding
 from .family import SetFamily, elements, inclusion_tables
 from .hypermatrix import HyperMatrix, contains
@@ -33,8 +33,8 @@ class PermutationPartition:
     parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = int(self.n)
-        parts = tuple(tuple(int(x) for x in part) for part in self.parts)
+        n = json_int(self.n, "partition size")
+        parts = tuple(tuple(json_int(x, "partition entry") for x in part) for part in self.parts)
         if not parts:
             raise InvariantError("at least one part", "no parts given")
         flat = [x for part in parts for x in part]
@@ -72,7 +72,7 @@ def format_partition(q: PermutationPartition) -> str:
 def prefix_union(q: PermutationPartition, idx) -> frozenset[int]:
     """Union of the first idx[j]-1 entries of each part; idx[j] ranges over
     1..len(part)+1."""
-    idx = tuple(int(i) for i in idx)
+    idx = tuple(json_int(i, "prefix index") for i in idx)
     if len(idx) != q.d:
         raise ValueError(f"index vector has {len(idx)} entries for {q.d} parts")
     union = 0

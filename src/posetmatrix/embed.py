@@ -1,5 +1,6 @@
 """Backtracking injection search shared by order-into-order and order-into-family
-embedding, and by the enumeration of every copy of a poset in the cube.
+embedding, by the enumeration of every copy of a poset in the cube, and by
+the census of 2-dim patterns ordering like a poset.
 
 The target side is abstract: indices 0..T-1 with bitmask tables sup[t] / sub[t]
 listing the targets strictly above / below t.  The source is a poset-like

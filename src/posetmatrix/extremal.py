@@ -103,7 +103,7 @@ def ex_exact(
 ) -> ExResult:
     """Maximum number of 1s in a dims-shaped 0-1 matrix containing none of
     the patterns, with a witness attaining it."""
-    dims = tuple(int(x) for x in dims)
+    dims = tuple(json_int(x, "matrix side length") for x in dims)
     if not dims or any(x < 1 for x in dims):
         raise ValueError(f"bad dims {dims}")
     pats = _check_patterns(dims, patterns)
@@ -324,8 +324,8 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
 def ex_monotonicity_check(pattern: HyperMatrix, small, big, **caps) -> MonotonicityResult:
     """Exact check that the 1-density of the extremal value does not grow
     when every side length grows: ex(big)/cells(big) <= ex(small)/cells(small)."""
-    small = tuple(int(x) for x in small)
-    big = tuple(int(x) for x in big)
+    small = tuple(json_int(x, "matrix side length") for x in small)
+    big = tuple(json_int(x, "matrix side length") for x in big)
     if len(small) != len(big) or len(small) != pattern.d:
         raise ValueError("dimension mismatch between pattern and the two shapes")
     if any(a > b for a, b in zip(small, big)):
@@ -348,7 +348,7 @@ def tardos_diamond_check(n: int, **caps) -> DiamondBoundResult:
 def random_free_matrix(dims, patterns, rng) -> HyperMatrix:
     """Greedy random maximal pattern-free matrix: shuffle the cells, keep
     each one that does not complete a forbidden pattern."""
-    dims = tuple(int(x) for x in dims)
+    dims = tuple(json_int(x, "matrix side length") for x in dims)
     pats = _check_patterns(dims, patterns)
     cells = all_cells(dims)
     through: list[list[int]] = [[] for _ in cells]  # the masks holding each cell

@@ -30,8 +30,8 @@ class SetFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = int(self.n)
-        masks = tuple(int(m) for m in self.masks)
+        n = json_int(self.n, "ground set size")
+        masks = tuple(json_int(m, "set mask") for m in self.masks)
         if n < 0:
             raise InvariantError("ground set size", f"n={n}")
         if len(set(masks)) != len(masks):
@@ -165,9 +165,7 @@ def occurrence_masks(n: int, p, induced: bool) -> list[int]:
 def lubell(fam: SetFamily) -> Fraction:
     """Sum of 1/C(n, |S|) over members; at most the number of maximal chains
     through any one set, so antichains give at most 1."""
-    return sum(
-        (Fraction(1, comb(fam.n, m.bit_count())) for m in fam.masks), Fraction(0)
-    )
+    return shifted_lubell(fam, 1)
 
 
 def shifted_lubell(fam: SetFamily, d: int) -> Fraction:

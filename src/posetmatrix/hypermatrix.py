@@ -4,11 +4,10 @@ A matrix is stored sparsely as the lexicographically sorted tuple of its
 1-entry coordinates, 1-based on every axis.  A host "contains" a pattern when
 strictly increasing index selections, one per axis and of the pattern's full
 side length, map every 1 of the pattern onto a 1 of the host.  The matcher
-walks the pattern's 1s in lexicographic order; images then also advance
-lexicographically, which caps the candidate pool and lets per-axis spacing
-constraints prune early.  The `ex` search and the random sampler instead take
-every copy a box can hold at once, as bitmasks over its cells
-(`occurrence_masks`).
+(`contains`) tries every selection on the axes but the last and scans the
+last axis greedily, one slice of the pattern at a time.  It shares no code
+with `occurrence_masks`, which the `ex` search and the random sampler use to
+take every copy a box can hold at once, as bitmasks over its cells.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ class HyperMatrix:
     ones: tuple[Coord, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(s) for s in self.dims)
+        dims = tuple(json_int(s, "matrix side length") for s in self.dims)
+        ones = tuple(tuple(json_int(c, "matrix coordinate") for c in o) for o in self.ones)
         if not dims:
             raise InvariantError("positive dimension", "at least one axis is required")
         if any(s < 1 for s in dims):
             raise InvariantError("positive side lengths", f"dims={dims}")
-        ones = tuple(tuple(int(c) for c in o) for o in self.ones)
         d = len(dims)
         for o in ones:
             if len(o) != d:
@@ -77,8 +76,7 @@ class HyperMatrix:
     def from_obj(cls, obj) -> "HyperMatrix":
         if not isinstance(obj, dict) or "dims" not in obj or "ones" not in obj:
             raise InvariantError("matrix object shape", 'need "dims" and "ones" keys')
-        dims = [json_int(s, "matrix side length") for s in obj["dims"]]
-        return cls(dims, [[json_int(c, "matrix coordinate") for c in o] for o in obj["ones"]])
+        return cls(obj["dims"], obj["ones"])
 
 
 def load_matrix(path) -> HyperMatrix:
@@ -94,63 +92,32 @@ def dump_matrix(m: HyperMatrix, path) -> None:
 # --- containment -----------------------------------------------------------
 
 
-def _axis_ok(mp: dict, u: int, v: int, a_side: int, m_side: int) -> bool:
-    """Can one axis map send pattern index u to host index v, given the partial
-    map mp?  The map must extend to a strictly increasing function on the full
-    range [1, a_side] -> [1, m_side], which forces the spacing constraints
-    below against every already-mapped index."""
-    got = mp.get(u)
-    if got is not None:
-        return got == v
-    if v < u or m_side - v < a_side - u:
-        return False
-    for w, x in mp.items():
-        if w < u:
-            if v - x < u - w:
-                return False
-        elif x - v < w - u:
-            return False
-    return True
-
-
 def _match(m_dims, m_ones, a_dims, a_ones) -> bool:
-    """Core matcher.  m_ones and a_ones are lexicographically sorted sequences."""
-    d = len(m_dims)
-    if any(a_dims[j] > m_dims[j] for j in range(d)):
+    """Core matcher (see the module docstring).  On the last axis each pattern
+    slice takes the least host index past the previous slice's that holds all
+    its 1s; the least leaves every option open for the later slices."""
+    if any(k > n for k, n in zip(a_dims, m_dims)):
         return False
-    maps: list[dict] = [{} for _ in range(d)]
-
-    def assign(one, img):
-        done = []
-        for j in range(d):
-            u, v = one[j], img[j]
-            if not _axis_ok(maps[j], u, v, a_dims[j], m_dims[j]):
-                for jj, uu in done:
-                    del maps[jj][uu]
-                return None
-            if u not in maps[j]:
-                maps[j][u] = v
-                done.append((j, u))
-        return done
-
-    need = len(a_ones)
-    pool = m_ones
-
-    def dfs(t, start):
-        if t == need:
+    fibres: dict = {}  # host 1s by all but the last coordinate, as index bitsets
+    for o in m_ones:
+        fibres[o[:-1]] = fibres.get(o[:-1], 0) | 1 << o[-1]
+    slices = [[] for _ in range(a_dims[-1])]  # the pattern's 1s by last index
+    for o in a_ones:
+        slices[o[-1] - 1].append(o[:-1])
+    picks = [combinations(range(1, n + 1), k) for n, k in zip(m_dims[:-1], a_dims[:-1])]
+    for pick in product(*picks):
+        later = (1 << (m_dims[-1] + 1)) - 2  # host indices 1..n on the last axis
+        for ones in slices:
+            fit = later
+            for o in ones:
+                fit &= fibres.get(tuple(pick[j][u - 1] for j, u in enumerate(o)), 0)
+            if not fit:
+                break
+            low = fit & -fit
+            later &= ~((low << 1) - 1)  # the indices above the least fit
+        else:
             return True
-        one = a_ones[t]
-        for idx in range(start, len(pool) - (need - t - 1)):
-            placed = assign(one, pool[idx])
-            if placed is None:
-                continue
-            if dfs(t + 1, idx + 1):
-                return True
-            for j, u in placed:
-                del maps[j][u]
-        return False
-
-    return dfs(0, 0)
+    return False
 
 
 def contains(host: HyperMatrix, pattern: HyperMatrix) -> bool:

@@ -10,13 +10,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, count
+from itertools import combinations, count, product
 from operator import or_
 
-from .embed import find_order_embedding
-from .errors import CapExceeded, InvariantError, load_json_file
+from .embed import find_order_embedding, order_embeddings
+from .errors import CapExceeded, InvariantError, json_int, load_json_file
 from .family import cube_order, elements, inclusion_tables
-from .hypermatrix import HyperMatrix
+from .hypermatrix import HyperMatrix, all_cells
 
 
 @dataclass(frozen=True)
@@ -275,6 +275,12 @@ class Realizer:
 
     extensions: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        extensions = tuple(
+            tuple(json_int(e, "realizer entry") for e in ext) for ext in self.extensions
+        )
+        object.__setattr__(self, "extensions", extensions)
+
     @property
     def order_count(self) -> int:
         return len(self.extensions)
@@ -422,34 +428,24 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
 
 def enumerate_patterns(p: Poset, d: int = 2) -> list[HyperMatrix]:
     """All 2-dimensional 0-1 matrices with |p| ones, no all-zero row or
-    column, whose dominance order is isomorphic to p.  Deterministic order:
-    by (rows, cols), then by 1-set."""
+    column, whose dominance order is isomorphic to p: in each box, the
+    induced copies of p in the dominance order of its cells that use every
+    row and column.  Deterministic order: by (rows, cols), then by 1-set."""
     if d != 2:
         raise ValueError("pattern enumeration is only supported in 2 dimensions")
     m = p.n
     if m == 0 or m > 6:
         raise ValueError("pattern enumeration supports 1..6 elements")
-    want_relations = len(p.relation_pairs())
     out: list[HyperMatrix] = []
-    for rows in range(1, m + 1):
-        for cols in range(1, m + 1):
-            if rows * cols < m:
-                continue
-            cellbox = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
-            for combo in combinations(cellbox, m):
-                if len({c[0] for c in combo}) != rows or len({c[1] for c in combo}) != cols:
-                    continue
-                rel = sum(
-                    1
-                    for a in combo
-                    for b in combo
-                    if a != b and a[0] <= b[0] and a[1] <= b[1]
-                )
-                if rel != want_relations:
-                    continue
-                mat = HyperMatrix((rows, cols), combo)
-                if is_isomorphic(pattern_order(mat), p):
-                    out.append(mat)
+    for rows, cols in product(range(1, m + 1), repeat=2):
+        cells = all_cells((rows, cols))
+        grid = pattern_order(HyperMatrix((rows, cols), cells))
+        embeddings = order_embeddings(p, grid.up, grid.down, (1 << len(cells)) - 1, True)
+        # cells come in lexicographic order, so sorted images are sorted 1-sets
+        for image in sorted({tuple(sorted(e)) for e in embeddings}):
+            ones = [cells[t] for t in image]
+            if len({i for i, _ in ones}) == rows and len({j for _, j in ones}) == cols:
+                out.append(HyperMatrix((rows, cols), ones))
     return out
 
 

@@ -39,6 +39,35 @@ def brute_contains(host: HyperMatrix, pattern: HyperMatrix) -> bool:
     return False
 
 
+def brute_patterns(p) -> list[HyperMatrix]:
+    """The 2-dim matrices with p.n 1s, no all-zero row or column, whose 1s
+    order like p under componentwise dominance: every p.n-subset of every
+    box, tried against every bijection onto p.  Same order as
+    `enumerate_patterns`: by (rows, cols), then by 1-set."""
+    m = p.n
+
+    def below(a, b) -> bool:
+        return a != b and a[0] <= b[0] and a[1] <= b[1]
+
+    out = []
+    for rows in range(1, m + 1):
+        for cols in range(1, m + 1):
+            cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+            for combo in combinations(cells, m):
+                if len({c[0] for c in combo}) != rows or len({c[1] for c in combo}) != cols:
+                    continue
+                if any(
+                    all(
+                        below(combo[f[x]], combo[f[y]]) == p.less(x, y)
+                        for x in range(m)
+                        for y in range(m)
+                    )
+                    for f in permutations(range(m))
+                ):
+                    out.append(HyperMatrix((rows, cols), combo))
+    return out
+
+
 def brute_family_contains(fam: SetFamily, p, induced: bool) -> bool:
     """Poset containment by trying every injection of p into the family."""
     if p.n > fam.size:

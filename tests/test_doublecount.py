@@ -38,6 +38,12 @@ def test_partition_validation():
         PermutationPartition(0, ())
 
 
+def test_partition_rejects_non_integer_entries():
+    # int() would build the run (1, 2) from (1.7, 2)
+    with pytest.raises(InvariantError, match="integer partition entry"):
+        PermutationPartition(2, ((1.7, 2),))
+
+
 def test_parse_and_format():
     q = parse_partition("142|5|3")
     assert q.n == 5 and q.parts == ((1, 4, 2), (5,), (3,))
@@ -59,6 +65,12 @@ def test_prefix_union_frozen_example():
         prefix_union(q, (5, 1, 1))
     with pytest.raises(ValueError, match="entries"):
         prefix_union(q, (1, 1))
+
+
+def test_prefix_union_rejects_non_integer_indices():
+    # int() would read (2.9, True, 1) as (2, 1, 1) and return {1}
+    with pytest.raises(InvariantError, match="integer prefix index"):
+        prefix_union(parse_partition("142|5|3"), (2.9, True, 1))
 
 
 def test_enumerate_partitions_small():

@@ -10,6 +10,7 @@ from posetmatrix import extremal
 from posetmatrix import (
     CapExceeded,
     HyperMatrix,
+    InvariantError,
     Poset,
     SetFamily,
     all_cells,
@@ -535,6 +536,21 @@ def test_monotonicity_check():
         ex_monotonicity_check(id2, (3, 3), (2, 4))
     with pytest.raises(ValueError, match="dimension"):
         ex_monotonicity_check(id2, (2, 2, 2), (3, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ex_exact((2.5, 2), [identity_matrix(2)]),
+        lambda: random_free_matrix((2.5, 2), [identity_matrix(2)], make_rng(0, "ex:float")),
+        lambda: ex_monotonicity_check(identity_matrix(2), (2, 2), (3.5, 3)),
+    ],
+    ids=["ex_exact", "random_free_matrix", "ex_monotonicity_check"],
+)
+def test_dims_reject_non_integers(call):
+    # int() would truncate the side 2.5 to 2, and ex_exact return 3
+    with pytest.raises(InvariantError, match="integer matrix side length"):
+        call()
 
 
 def test_tardos_diamond_small():

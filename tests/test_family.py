@@ -49,6 +49,14 @@ def test_from_sets_rejects_non_integers():
             SetFamily.from_sets(n, sets)
 
 
+def test_family_rejects_non_integer_masks():
+    # int() would read the mask 1.0 as the set {1}
+    with pytest.raises(InvariantError, match="integer set mask"):
+        SetFamily(3, (1.0, 2))
+    with pytest.raises(InvariantError, match="integer ground set size"):
+        SetFamily(3.0, (1, 2))
+
+
 def test_sets_round_trip():
     fam = SetFamily.from_sets(3, [set(), {1, 3}, {2}])
     assert fam.masks == (0, 5, 2)

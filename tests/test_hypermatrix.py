@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posetmatrix import (
     HyperMatrix,
@@ -92,6 +94,39 @@ def test_contains_matches_brute_force_3dim():
         host = HyperMatrix(dims, ones)
         for a in (diag, corner):
             assert contains(host, a) == brute_contains(host, a)
+
+
+@st.composite
+def host_and_pattern(draw):
+    """A host of dimension 1..3 and a nonzero pattern of the same dimension;
+    small patterns often leave whole slices of the last axis without 1s."""
+    d = draw(st.integers(1, 3))
+    side = 4 if d < 3 else 3
+    hdims = tuple(draw(st.integers(1, side)) for _ in range(d))
+    pdims = tuple(draw(st.integers(1, side)) for _ in range(d))
+    host = draw(st.sets(st.sampled_from(all_cells(hdims))))
+    ones = draw(st.sets(st.sampled_from(all_cells(pdims)), min_size=1, max_size=4))
+    return HyperMatrix(hdims, tuple(host)), HyperMatrix(pdims, tuple(ones))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(host_and_pattern())
+# the pattern's middle column is empty: it needs a free host column between
+@example((HyperMatrix((2, 3), ((1, 1), (2, 2))), HyperMatrix((2, 3), ((1, 1), (2, 3)))))
+@example((HyperMatrix((2, 4), ((1, 1), (2, 3))), HyperMatrix((2, 3), ((1, 1), (2, 3)))))
+@example((HyperMatrix((3,), ((1,), (3,))), HyperMatrix((3,), ((1,), (3,)))))
+@example((HyperMatrix((3,), ((1,), (2,))), HyperMatrix((3,), ((1,), (3,)))))
+def test_contains_matches_brute_force_any_dimension(instance):
+    host, pattern = instance
+    assert contains(host, pattern) == brute_contains(host, pattern)
+
+
+def test_construction_rejects_non_integers():
+    # int() would read 2.7 as 2 and 1.2 as 1
+    with pytest.raises(InvariantError, match="integer matrix side length"):
+        HyperMatrix((2.7, 2), [(1, 1)])
+    with pytest.raises(InvariantError, match="integer matrix coordinate"):
+        HyperMatrix((2, 2), [(1.2, 1)])
 
 
 def test_permutation_matrices():

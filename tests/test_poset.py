@@ -31,7 +31,7 @@ from posetmatrix import (
 from posetmatrix.family import cube_order
 from posetmatrix.poset import load_poset_obj
 
-from conftest import mat
+from conftest import brute_patterns, mat
 
 
 def standard_example_3() -> Poset:
@@ -240,6 +240,32 @@ def test_enumerate_patterns_are_valid():
         # no empty row or column
         for axis in range(2):
             assert len({o[axis] for o in a.ones}) == a.dims[axis]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["chain:1", "chain:2", "chain:3", "chain:4", "antichain:1", "antichain:2",
+     "antichain:3", "antichain:4", "vee:1", "vee:2", "vee:3", "diamond",
+     "butterfly", "boolean:2"],
+)
+def test_enumerate_patterns_matches_brute_force(spec):
+    p = builtin(spec)
+    assert [(a.dims, a.ones) for a in enumerate_patterns(p, 2)] == [
+        (a.dims, a.ones) for a in brute_patterns(p)
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_chain_pattern_count_closed_form(k):
+    # read in order, each step between consecutive 1s of a chain pattern
+    # goes right, down or diagonally, and the steps fix the matrix
+    assert len(enumerate_patterns(chain(k), 2)) == 3 ** (k - 1)
+
+
+def test_realizer_rejects_non_integer_entries():
+    # unchecked, is_realizer would index a list with 0.0 and raise TypeError
+    with pytest.raises(InvariantError, match="integer realizer entry"):
+        is_realizer(chain(2), Realizer(((0.0, 1.0),)))
 
 
 def test_subposet_embeds():
