@@ -85,24 +85,20 @@ def binomial_shift_check(n: int, d: int) -> tuple[int, int, bool]:
 
 
 def hasse_is_tree(p: Poset) -> bool:
-    """Whether the cover graph is a tree (connected, n-1 edges)."""
+    """Whether the cover graph is a tree: n-1 edges, and connected.  It is
+    connected exactly when the comparability graph is, so the flood from
+    element 0 follows up[i] | down[i]."""
     if p.n == 0:
         raise ValueError("empty poset")
-    edges = p.covers
-    if len(edges) != p.n - 1:
+    if len(p.covers) != p.n - 1:
         return False
-    adj = [[] for _ in range(p.n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == p.n
+    seen, last = 1, 0
+    while seen != last:
+        last = seen
+        for i in range(p.n):
+            if last >> i & 1:
+                seen |= p.up[i] | p.down[i]
+    return seen == (1 << p.n) - 1
 
 
 def bukh_tree_coefficient(p: Poset) -> int:

@@ -139,7 +139,7 @@ def la_exact(
 ) -> LaResult:
     """Largest family of subsets of {1..n} with no copy of p in the
     inclusion order (no induced copy when induced=True)."""
-    if n < 0:
+    if json_int(n, "ground set size") < 0:
         raise ValueError(f"bad ground set size {n}")
     if p.n == 0:
         raise ValueError("the forbidden poset must be nonempty")

@@ -172,7 +172,7 @@ def is_permutation_matrix(m: HyperMatrix) -> bool:
 
 def identity_matrix(k: int, d: int = 2) -> HyperMatrix:
     """The diagonal permutation matrix of size k^d."""
-    if k < 1 or d < 1:
+    if json_int(k, "size") < 1 or json_int(d, "dimension") < 1:
         raise ValueError("k and d must be positive")
     return HyperMatrix((k,) * d, tuple((i,) * d for i in range(1, k + 1)))
 

@@ -28,7 +28,7 @@ class Poset:
 
     def __post_init__(self) -> None:
         elements = tuple(str(e) for e in self.elements)
-        up = tuple(int(m) for m in self.up)
+        up = tuple(json_int(m, "relation mask") for m in self.up)
         n = len(elements)
         if len(set(elements)) != n:
             raise InvariantError("distinct element labels", f"{elements}")
@@ -91,11 +91,19 @@ class Poset:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for i, j in self.relation_pairs():
-            if not any(self.less(i, k) and self.less(k, j) for k in range(self.n)):
-                out.append((i, j))
-        return tuple(out)
+        """Pairs i < j with nothing above i that lies below j."""
+        down = self.down
+        return tuple((i, j) for i, j in self.relation_pairs() if not self.up[i] & down[j])
+
+    @cached_property
+    def height(self) -> int:
+        """Number of elements in a longest chain: how many times the maximal
+        elements of what is left can be peeled off."""
+        rest, h = (1 << self.n) - 1, 0
+        while rest:
+            rest &= ~sum(1 << i for i in range(self.n) if rest >> i & 1 and not self.up[i] & rest)
+            h += 1
+        return h
 
     def to_obj(self) -> dict:
         return {
@@ -183,7 +191,7 @@ def butterfly() -> Poset:
 
 def boolean_lattice(m: int) -> Poset:
     """All subsets of {1..m} ordered by strict inclusion, in `cube_order`."""
-    if m < 0:
+    if json_int(m, "size") < 0:
         raise ValueError("m must be nonnegative")
     masks = cube_order(m)
     label = ["{" + ",".join(map(str, elements(s))) + "}" for s in masks]
@@ -222,7 +230,7 @@ def load_poset(spec: str) -> Poset:
 
 
 def _positive(k: int) -> None:
-    if k < 1:
+    if json_int(k, "size") < 1:
         raise ValueError("size must be positive")
 
 
@@ -233,21 +241,7 @@ def height(p: Poset) -> int:
     """Number of elements in a longest chain."""
     if p.n == 0:
         raise ValueError("empty poset")
-    memo: dict[int, int] = {}
-
-    def climb(i: int) -> int:
-        if i in memo:
-            return memo[i]
-        best = 1
-        m = p.up[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            best = max(best, 1 + climb(j))
-        memo[i] = best
-        return best
-
-    return max(climb(i) for i in range(p.n))
+    return p.height
 
 
 def linear_extensions(p: Poset):
@@ -345,16 +339,13 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
         )
     exts = list(linear_extensions(p))
     full, cover = _reversal_masks(p, exts)
-    max_cover = max((c.bit_count() for c in cover), default=0)
+    if full == 0:  # a chain: its one extension realizes it
+        return 1, Realizer((exts[0],))
+    max_cover = max(c.bit_count() for c in cover)
     choice: list[int] = []
 
     def dfs(start: int, covered: int, slots: int) -> bool:
         if covered == full:
-            # only reachable with slots left when there is nothing to cover
-            if slots:
-                if start + slots > len(exts):
-                    return False
-                choice.extend(range(start, start + slots))
             return True
         if slots == 0:
             return False

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, written independently of the library search
 code so the two can disagree."""
 
+from collections import deque
 from itertools import combinations, permutations, product
 
 import pytest
@@ -95,6 +96,64 @@ def brute_family_contains(fam: SetFamily, p, induced: bool) -> bool:
         if good:
             return True
     return False
+
+
+def brute_covers(p) -> list[tuple[int, int]]:
+    """Pairs i < j with no k strictly between, ordered by (i, j)."""
+    return [
+        (i, j)
+        for i in range(p.n)
+        for j in range(p.n)
+        if p.less(i, j) and not any(p.less(i, k) and p.less(k, j) for k in range(p.n))
+    ]
+
+
+def brute_height(p) -> int:
+    """Size of the largest subset whose elements are pairwise comparable."""
+    return max(
+        len(s)
+        for r in range(1, p.n + 1)
+        for s in combinations(range(p.n), r)
+        if all(p.less(a, b) or p.less(b, a) for a, b in combinations(s, 2))
+    )
+
+
+def brute_hasse_is_tree(p) -> bool:
+    """n-1 cover edges, and a breadth-first search over them from element
+    0 reaches every element."""
+    edges = brute_covers(p)
+    if len(edges) != p.n - 1:
+        return False
+    seen, queue = {0}, deque([0])
+    while queue:
+        a = queue.popleft()
+        for b in [j for i, j in edges if i == a] + [i for i, j in edges if j == a]:
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return len(seen) == p.n
+
+
+def brute_dimension(p, exts) -> tuple[int, tuple]:
+    """Least t and the first t-tuple of the linear extensions exts, in
+    `combinations` order, whose orders intersect to p: a pair comes before
+    in every order exactly when it is related in p."""
+    pairs = [(a, b) for a in range(p.n) for b in range(p.n) if a != b]
+    relations = sum(1 << t for t, (a, b) in enumerate(pairs) if p.less(a, b))
+
+    def before(ext) -> int:
+        rank = {e: r for r, e in enumerate(ext)}
+        return sum(1 << t for t, (a, b) in enumerate(pairs) if rank[a] < rank[b])
+
+    masks = [before(ext) for ext in exts]
+    for t in range(1, p.n + 1):
+        for combo in combinations(range(len(exts)), t):
+            meet = -1
+            for e in combo:
+                meet &= masks[e]
+            if meet == relations:
+                return t, tuple(exts[e] for e in combo)
+    raise AssertionError("no realizer among the linear extensions")
 
 
 @pytest.fixture

@@ -528,6 +528,12 @@ def test_la_cap_and_errors():
     assert la_exact(10, chain(1), False, allow_over_cap=True).value == 0
 
 
+def test_la_rejects_non_integer_ground_set_size():
+    # 3.5 used to reach a shift and raise a bare TypeError
+    with pytest.raises(InvariantError, match="integer ground set size"):
+        la_exact(3.5, chain(2), False)
+
+
 def test_monotonicity_check():
     id2 = identity_matrix(2)
     res = ex_monotonicity_check(id2, (2, 2), (4, 4))

@@ -129,6 +129,14 @@ def test_construction_rejects_non_integers():
         HyperMatrix((2, 2), [(1.2, 1)])
 
 
+@pytest.mark.parametrize(
+    "args, what", [((2, 2.0), "dimension"), ((2.0,), "size")], ids=["d", "k"]
+)
+def test_identity_matrix_rejects_non_integers(args, what):
+    with pytest.raises(InvariantError, match=f"integer {what}"):
+        identity_matrix(*args)
+
+
 def test_permutation_matrices():
     assert is_permutation_matrix(identity_matrix(3))
     assert is_permutation_matrix(HyperMatrix((2, 2), ((1, 2), (2, 1))))

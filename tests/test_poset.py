@@ -1,7 +1,9 @@
 import json
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posetmatrix import (
     CapExceeded,
@@ -17,6 +19,7 @@ from posetmatrix import (
     diamond,
     dimension,
     enumerate_patterns,
+    hasse_is_tree,
     height,
     identity_matrix,
     is_isomorphic,
@@ -31,7 +34,14 @@ from posetmatrix import (
 from posetmatrix.family import cube_order
 from posetmatrix.poset import load_poset_obj
 
-from conftest import brute_patterns, mat
+from conftest import (
+    brute_covers,
+    brute_dimension,
+    brute_hasse_is_tree,
+    brute_height,
+    brute_patterns,
+    mat,
+)
 
 
 def standard_example_3() -> Poset:
@@ -92,6 +102,29 @@ def test_validation_catches_bad_orders():
         Poset(("a", "b"), (0,))
 
 
+# int() would read 2.5 as 2 and build a < b; True would be read as 1 and
+# reported as a below itself
+@pytest.mark.parametrize("mask", [2.5, True])
+def test_validation_rejects_non_integer_masks(mask):
+    with pytest.raises(InvariantError, match="integer relation mask"):
+        Poset(("a", "b"), (mask, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chain(2.5),
+        lambda: antichain(2.0),
+        lambda: boolean_lattice(2.0),
+        lambda: vee(True),
+    ],
+    ids=["chain", "antichain", "boolean_lattice", "vee"],
+)
+def test_builtin_sizes_reject_non_integers(call):
+    with pytest.raises(InvariantError, match="integer size"):
+        call()
+
+
 def test_from_pairs_closure():
     p = Poset.from_pairs("abc", [("a", "b"), ("b", "c")])
     assert p.less(0, 2)
@@ -125,6 +158,37 @@ def test_covers_and_round_trip():
         d.to_obj()["elements"], [tuple(c) for c in d.to_obj()["covers"]]
     )
     assert again.up == d.up
+
+
+@st.composite
+def shuffled_posets(draw):
+    """A poset on at most 7 elements, from relations a < b between labels
+    closed transitively, with the labels listed in a random order so that
+    element indices need not follow the order."""
+    k = draw(st.integers(1, 7))
+    pairs = draw(st.sets(st.sampled_from(list(combinations(range(k), 2))))) if k > 1 else set()
+    order = draw(st.permutations(range(k)))
+    return Poset.from_pairs([str(x) for x in order], [(str(a), str(b)) for a, b in pairs])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(shuffled_posets())
+# dimension 3: the standard example S_3 beside one more element
+@example(Poset.from_pairs(
+    ["1", "2", "3", "12", "13", "23", "x"],
+    [(b, t) for b in "123" for t in ("12", "13", "23") if b in t],
+))
+def test_order_facts_match_brute_force(p):
+    assert list(p.covers) == brute_covers(p)
+    assert height(p) == brute_height(p)
+    assert hasse_is_tree(p) == brute_hasse_is_tree(p)
+    t, r = dimension(p)
+    assert (t, r.extensions) == brute_dimension(p, list(linear_extensions(p)))
+
+
+def test_height_of_a_long_chain():
+    # one recursion level per element would pass Python's recursion limit
+    assert height(chain(1200)) == 1200
 
 
 def test_linear_extensions():
