@@ -10,9 +10,9 @@ class InvariantError(ValueError):
     diagnostic pointing at the exact condition that failed.
     """
 
-    def __init__(self, invariant: str, detail: str = ""):
+    def __init__(self, invariant: str, detail: str):
         self.invariant = invariant
-        super().__init__(f"{invariant}: {detail}" if detail else invariant)
+        super().__init__(f"{invariant}: {detail}")
 
 
 class CapExceeded(RuntimeError):

@@ -72,12 +72,6 @@ class Poset:
                 dn[j] |= 1 << i
         return tuple(dn)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.elements.index(label)
-        except ValueError:
-            raise KeyError(f"no element labelled {label!r}") from None
-
     def relation_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(self.n) if self.less(i, j)]
 
@@ -283,41 +277,35 @@ class Realizer:
         return [[p.elements[i] for i in ext] for ext in self.extensions]
 
 
-def _positions(ext) -> list[int]:
-    """pos[e]: the rank of element e in the linear order ext, from 0."""
-    pos = [0] * len(ext)
-    for rank, e in enumerate(ext):
-        pos[e] = rank
-    return pos
-
-
-def _reversal_masks(p: Poset, exts) -> tuple[int, list[int]]:
-    """Per linear order, its reversal mask: bit t is set when the order puts
-    y before x for the t-th ordered incomparable pair (x, y) of p.  Also
-    returns the mask with a bit for every such pair.  Linear extensions
-    realize p exactly when the OR of their reversal masks is that mask."""
-    inc = [pair for x, y in p.incomparable_pairs() for pair in ((x, y), (y, x))]
+def _order_masks(p: Poset, orders) -> tuple[int, int, list[int]]:
+    """Precedence masks over the n*n ordered pairs: bit x*n + y is set when
+    x comes before y.  Returns p's related pairs (x < y in p), its
+    incomparable pairs in both directions, and each order's mask."""
+    n = p.n
+    related = incomparable = 0
+    for x in range(n):
+        related |= p.up[x] << x * n
+        incomparable |= ((1 << n) - 1 & ~(p.up[x] | p.down[x] | 1 << x)) << x * n
     masks = []
-    for ext in exts:
-        pos = _positions(ext)
-        masks.append(sum(1 << t for t, (x, y) in enumerate(inc) if pos[y] < pos[x]))
-    return (1 << len(inc)) - 1, masks
+    for order in orders:
+        mask = after = 0
+        for x in reversed(order):
+            mask |= after << x * n
+            after |= 1 << x
+        masks.append(mask)
+    return related, incomparable, masks
 
 
 def is_realizer(p: Poset, r: Realizer) -> bool:
-    """Whether r is a nonempty tuple of linear extensions of p that
-    together reverse every ordered incomparable pair."""
-    if not r.extensions:
+    """Whether r is a nonempty tuple of linear orders of p's elements whose
+    intersection is p: each order holds every related pair, and together
+    they hold every incomparable pair both ways round."""
+    if not r.extensions or any(sorted(ext) != list(range(p.n)) for ext in r.extensions):
         return False
-    relations = p.relation_pairs()
-    for ext in r.extensions:
-        if sorted(ext) != list(range(p.n)):
-            return False
-        pos = _positions(ext)
-        if any(pos[i] > pos[j] for i, j in relations):
-            return False
-    full, masks = _reversal_masks(p, r.extensions)
-    return reduce(or_, masks) == full
+    related, incomparable, masks = _order_masks(p, r.extensions)
+    if any(m & related != related for m in masks):
+        return False
+    return reduce(or_, masks) & incomparable == incomparable
 
 
 DIMENSION_SIZE_CAP = 8
@@ -327,9 +315,9 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
     """Least t with a t-order realizer, plus the lexicographically least witness.
 
     Iterative deepening on t.  A tuple of extensions realizes p exactly when,
-    for every ordered incomparable pair (x, y), some extension puts y before
-    x; so the search is a minimum cover of the reversal requirements by the
-    extensions' reversal masks, explored in enumeration order.
+    for every ordered incomparable pair (x, y), some extension puts x before
+    y; so the search is a minimum cover of the incomparable pairs by the
+    extensions' precedence masks, explored in enumeration order.
     """
     if p.n == 0:
         raise ValueError("empty poset")
@@ -338,7 +326,8 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
             f"poset has {p.n} elements, dimension search cap is {DIMENSION_SIZE_CAP}"
         )
     exts = list(linear_extensions(p))
-    full, cover = _reversal_masks(p, exts)
+    _, full, masks = _order_masks(p, exts)
+    cover = [m & full for m in masks]
     if full == 0:  # a chain: its one extension realizes it
         return 1, Realizer((exts[0],))
     max_cover = max(c.bit_count() for c in cover)
@@ -377,8 +366,7 @@ def realizer_to_matrix(p: Poset, r: Realizer) -> HyperMatrix:
         raise ValueError("empty poset")
     if not is_realizer(p, r):
         raise ValueError("the given orders do not realize the poset")
-    positions = [_positions(ext) for ext in r.extensions]
-    ones = tuple(tuple(pos[e] + 1 for pos in positions) for e in range(p.n))
+    ones = tuple(tuple(ext.index(e) + 1 for ext in r.extensions) for e in range(p.n))
     return HyperMatrix((p.n,) * len(r.extensions), ones)
 
 

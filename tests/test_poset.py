@@ -220,12 +220,57 @@ def test_dimension_caps():
 
 def test_realizer_checks():
     d = diamond()
-    good = Realizer(((0, 1, 2, 3), (0, 2, 1, 3)))
-    assert is_realizer(d, good)
+    good = ((0, 1, 2, 3), (0, 2, 1, 3))
+    assert is_realizer(d, Realizer(good))
     # both orders agree on b before c, so the intersection adds b < c
     assert not is_realizer(d, Realizer(((0, 1, 2, 3), (0, 1, 2, 3))))
     assert not is_realizer(d, Realizer(((0, 1, 2, 3),)))
     assert not is_realizer(d, Realizer(()))
+    # orders that are not permutations: an element twice (and one missing),
+    # too short, too long
+    assert not is_realizer(d, Realizer(((0, 1, 1, 3), (0, 2, 1, 3))))
+    assert not is_realizer(d, Realizer(good + ((0, 0, 0, 0),)))
+    assert not is_realizer(d, Realizer(((0, 1, 2), (0, 2, 1, 3))))
+    assert not is_realizer(d, Realizer(good + ((0, 1, 2, 3, 0),)))
+    # an antichain has no relation to break: only the permutation check
+    # refuses these
+    a = antichain(3)
+    assert not is_realizer(a, Realizer(((0, 1, 2), (2, 1, 0), (1, 1, 1))))
+    assert not is_realizer(a, Realizer(((0, 1, 2), (2, 1, 0), (0, 1))))
+
+
+@pytest.mark.parametrize(
+    "p, t, extensions, ones",
+    [
+        (
+            boolean_lattice(3),
+            3,
+            (
+                (0, 1, 2, 4, 3, 5, 6, 7),
+                (0, 1, 3, 5, 2, 4, 6, 7),
+                (0, 2, 3, 6, 1, 4, 5, 7),
+            ),
+            (
+                (1, 1, 1), (2, 2, 5), (3, 5, 2), (4, 6, 6),
+                (5, 3, 3), (6, 4, 7), (7, 7, 4), (8, 8, 8),
+            ),
+        ),
+        (
+            antichain(8),
+            2,
+            ((0, 1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1, 0)),
+            ((1, 8), (2, 7), (3, 6), (4, 5), (5, 4), (6, 3), (7, 2), (8, 1)),
+        ),
+    ],
+    ids=["boolean:3", "antichain:8"],
+)
+def test_dimension_witness_at_the_size_cap(p, t, extensions, ones):
+    # frozen: the lexicographically least realizer and its permutation matrix
+    # at DIMENSION_SIZE_CAP elements
+    d, r = dimension(p)
+    assert (d, r.extensions) == (t, extensions)
+    m = realizer_to_matrix(p, r)
+    assert m.dims == (p.n,) * t and m.ones == ones
 
 
 @pytest.mark.parametrize(
