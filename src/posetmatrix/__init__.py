@@ -31,6 +31,7 @@ from .doublecount import (
     partition_count,
     prefix_matrix_freeness_check,
     prefix_union,
+    prefix_union_counts,
     prefix_union_matrix,
 )
 from .errors import CapExceeded, InvariantError

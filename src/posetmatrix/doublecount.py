@@ -10,8 +10,10 @@ by clearing its bit in the embedding search's universe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement, permutations, product
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -145,6 +147,15 @@ def all_prefix_union_masks(q: PermutationPartition) -> set[int]:
     return set(_prefix_unions(q))
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
+def prefix_union_counts(n: int, d: int) -> tuple[int, ...]:
+    """For each mask of 1..n, how many d-part partitions have it among their
+    prefix unions, by enumeration: 2^n ints, kept once per (n, d).  The
+    partition cap bounds n, hence the table."""
+    counts = Counter(chain.from_iterable(map(all_prefix_union_masks, enumerate_partitions(n, d))))
+    return tuple(counts[m] for m in range(1 << n))
+
+
 def prefix_union_matrix(q: PermutationPartition, fam: SetFamily) -> HyperMatrix:
     """0-1 matrix over index vectors, with a 1 where the prefix union is a
     member of the family."""
@@ -210,12 +221,11 @@ class DoubleCountResult(NamedTuple):
 
 def double_count_identity(fam: SetFamily, d: int) -> DoubleCountResult:
     """Count (partition, member) pairs where the member is a prefix union,
-    once by the per-size formula and once by enumeration."""
+    once by the per-size formula and once by enumeration (summed per member
+    from the enumerated `prefix_union_counts` table)."""
     if d < 1:
         raise ValueError("d must be positive")
     lhs = sum(count_partitions_with_prefix(fam.n, d, m.bit_count()) for m in fam.masks)
-    member = set(fam.masks)
-    rhs = 0
-    for q in enumerate_partitions(fam.n, d):
-        rhs += len(all_prefix_union_masks(q) & member)
+    counts = prefix_union_counts(fam.n, d)
+    rhs = sum(counts[m] for m in fam.masks)
     return DoubleCountResult(lhs, rhs, lhs == rhs)

@@ -4,7 +4,7 @@ the census of 2-dim patterns ordering like a poset.
 
 The target side is abstract: indices 0..T-1 with bitmask tables sup[t] / sub[t]
 listing the targets strictly above / below t.  The source is a poset-like
-object exposing n, less(i, j), up and down bitmasks.  Weak mode preserves
+object exposing n and its up and down bitmasks.  Weak mode preserves
 relations one way (x < y forces image above image); induced mode preserves
 both relations and incomparabilities.
 """
@@ -51,15 +51,16 @@ def order_embeddings(p, sup: list[int], sub: list[int], universe: int, induced: 
         return
     allowed = degree_filter(p, sup, sub, universe)
     assign = [0] * k
-    less = p.less
+    up, down = p.up, p.down
 
     def candidates(x: int, used: int) -> int:
         cand = allowed[x] & ~used
+        below, above = down[x], up[x]
         for y in range(x):
             t = assign[y]
-            if less(y, x):
+            if below >> y & 1:
                 cand &= sup[t]
-            elif less(x, y):
+            elif above >> y & 1:
                 cand &= sub[t]
             elif induced:
                 cand &= ~(sup[t] | sub[t])

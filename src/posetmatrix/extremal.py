@@ -353,9 +353,10 @@ def random_free_matrix(dims, patterns, rng) -> HyperMatrix:
     cells = all_cells(dims)
     through: list[list[int]] = [[] for _ in cells]  # the masks holding each cell
     for m in occurrence_masks(dims, pats):
-        for i in range(m.bit_length()):
-            if m >> i & 1:
-                through[i].append(m)
+        rest = m
+        while rest:
+            through[(rest & -rest).bit_length() - 1].append(m)
+            rest &= rest - 1
     # shuffling positions permutes exactly as shuffling the cells would
     order = list(range(len(cells)))
     rng.shuffle(order)

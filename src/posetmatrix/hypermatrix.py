@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, prod
 
 from .errors import InvariantError, json_int, load_json_file
@@ -32,23 +32,11 @@ class HyperMatrix:
 
     def __post_init__(self) -> None:
         dims = tuple(json_int(s, "matrix side length") for s in self.dims)
-        ones = tuple(tuple(json_int(c, "matrix coordinate") for c in o) for o in self.ones)
-        if not dims:
-            raise InvariantError("positive dimension", "at least one axis is required")
-        if any(s < 1 for s in dims):
-            raise InvariantError("positive side lengths", f"dims={dims}")
-        d = len(dims)
-        for o in ones:
-            if len(o) != d:
-                raise InvariantError(
-                    "coordinate arity", f"{o} in a {d}-dimensional matrix"
-                )
-            if any(not 1 <= o[j] <= dims[j] for j in range(d)):
-                raise InvariantError("coordinate within dims", f"{o} outside {dims}")
-        if len(set(ones)) != len(ones):
-            raise InvariantError("duplicate coordinates", "1-entries must be distinct")
+        ones = tuple(self.ones)
+        if not _plainly_valid(dims, ones):
+            ones = _checked_entries(dims, ones)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "ones", tuple(sorted(ones)))
+        object.__setattr__(self, "ones", tuple(sorted(map(tuple, ones))))
 
     @property
     def d(self) -> int:
@@ -77,6 +65,42 @@ class HyperMatrix:
         if not isinstance(obj, dict) or "dims" not in obj or "ones" not in obj:
             raise InvariantError("matrix object shape", 'need "dims" and "ones" keys')
         return cls(obj["dims"], obj["ones"])
+
+
+def _plainly_valid(dims, ones) -> bool:
+    """Whether the entries break no rule, decided in bulk; False (also for
+    entries other than tuples and lists) sends them through
+    `_checked_entries` to name the first fault."""
+    d = len(dims)
+    if not d or min(dims) < 1 or not set(map(type, ones)) <= {tuple, list}:
+        return False
+    if not set(map(type, chain.from_iterable(ones))) <= {int}:
+        return False
+    if not set(map(len, ones)) <= {d}:
+        return False
+    if any(min(col) < 1 or max(col) > n for col, n in zip(zip(*ones), dims)):
+        return False
+    return len(set(map(tuple, ones))) == len(ones)
+
+
+def _checked_entries(dims, ones) -> tuple[Coord, ...]:
+    """The entries as tuples, checked one by one: non-integers first, then
+    the axes, then each entry's arity and range in input order, then
+    duplicates.  Raises InvariantError for the first rule broken."""
+    ones = tuple(tuple(json_int(c, "matrix coordinate") for c in o) for o in ones)
+    if not dims:
+        raise InvariantError("positive dimension", "at least one axis is required")
+    if any(s < 1 for s in dims):
+        raise InvariantError("positive side lengths", f"dims={dims}")
+    d = len(dims)
+    for o in ones:
+        if len(o) != d:
+            raise InvariantError("coordinate arity", f"{o} in a {d}-dimensional matrix")
+        if any(not 1 <= o[j] <= dims[j] for j in range(d)):
+            raise InvariantError("coordinate within dims", f"{o} outside {dims}")
+    if len(set(ones)) != len(ones):
+        raise InvariantError("duplicate coordinates", "1-entries must be distinct")
+    return ones
 
 
 def load_matrix(path) -> HyperMatrix:
@@ -193,9 +217,7 @@ def loomis_whitney_holds(m: HyperMatrix) -> bool:
     """|M|^(d-1) <= product over axes of |projection|; exact integers."""
     if m.d < 2:
         raise ValueError("the projection inequality needs dimension >= 2")
-    rhs = 1
-    for axis in range(1, m.d + 1):
-        rhs *= projection(m, axis).weight
+    rhs = prod(len({o[:j] + o[j + 1 :] for o in m.ones}) for j in range(m.d))
     return m.weight ** (m.d - 1) <= rhs
 
 
@@ -277,11 +299,15 @@ def block_analyze(host: HyperMatrix, pattern: HyperMatrix, side: int) -> BlockRe
         bdims = tuple(
             min(host.dims[j], b[j] * side) - (b[j] - 1) * side for j in range(d)
         )
-        local = HyperMatrix(bdims, tuple(locs))
         axes = tuple(
             ax
-            for ax in range(1, d + 1)
-            if contains(projection(local, ax), proj_pat[ax - 1])
+            for ax, pat in enumerate(proj_pat, 1)
+            if _match(
+                bdims[: ax - 1] + bdims[ax:],
+                {o[: ax - 1] + o[ax:] for o in locs},
+                pat.dims,
+                pat.ones,
+            )
         )
         if axes:
             wide[b] = axes

@@ -86,8 +86,16 @@ class Poset:
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs i < j with nothing above i that lies below j."""
-        down = self.down
-        return tuple((i, j) for i, j in self.relation_pairs() if not self.up[i] & down[j])
+        up, down = self.up, self.down
+        pairs = []
+        for i, above in enumerate(up):
+            m = above
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                if not above & down[j]:
+                    pairs.append((i, j))
+        return tuple(pairs)
 
     @cached_property
     def height(self) -> int:

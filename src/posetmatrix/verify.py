@@ -9,15 +9,11 @@ a check without trials has None there and ignores the argument.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-
 from .doublecount import (
-    all_prefix_union_masks,
     count_partitions_with_prefix,
     double_count_identity,
-    enumerate_partitions,
     prefix_matrix_freeness_check,
+    prefix_union_counts,
 )
 from .extremal import ex_exact, random_free_matrix, tardos_diamond_check
 from .family import SetFamily, elements
@@ -39,12 +35,8 @@ def _prefix_count_formula(trials, seed, cache, cap_override) -> dict:
     failures = []
     for n in range(0, 5):
         for d in range(1, 4):
-            counter = Counter(
-                chain.from_iterable(map(all_prefix_union_masks, enumerate_partitions(n, d)))
-            )
-            for mask in range(1 << n):
+            for mask, got in enumerate(prefix_union_counts(n, d)):
                 want = count_partitions_with_prefix(n, d, mask.bit_count())
-                got = counter[mask]
                 if got != want:
                     failures.append(
                         {"n": n, "d": d, "set": elements(mask), "got": got, "want": want}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -273,6 +274,14 @@ def test_verify_all_aggregates(capsys):
     for name in ("doublecount", "lw", "blocks"):
         assert checks[name]["trials"] == 5, name
     assert [run["trials"] for run in checks["counta"]["runs"]] == [5, 5, 5]
+
+
+def test_verify_all_frozen_bytes(capsys):
+    code, out, err = invoke(capsys, "--no-cache", "--seed", "3", "verify", "all", "--trials", "5")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "03a1cd352d905d35af634918c55642976fdcec57029b3e07ce6160e015c424b6"
+    )
 
 
 def test_verify_default_trials(capsys):

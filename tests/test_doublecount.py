@@ -22,6 +22,7 @@ from posetmatrix import (
     partition_count,
     prefix_matrix_freeness_check,
     prefix_union,
+    prefix_union_counts,
     prefix_union_matrix,
 )
 from posetmatrix import doublecount
@@ -107,7 +108,7 @@ def test_prefix_unions_preserve_incomparability():
 
 
 def test_count_formula_matches_enumeration():
-    for n, d in product(range(0, 4), range(1, 4)):
+    for n, d in product(range(0, 5), range(1, 4)):
         counter = {}
         for q in enumerate_partitions(n, d):
             for mask in all_prefix_union_masks(q):
@@ -116,6 +117,11 @@ def test_count_formula_matches_enumeration():
             assert counter.get(mask, 0) == count_partitions_with_prefix(
                 n, d, mask.bit_count()
             )
+        # the shared count table is the same enumeration, one entry per mask
+        assert prefix_union_counts(n, d) == tuple(counter.get(m, 0) for m in range(1 << n))
+    # a float d is refused as before, not served from the entry for the int
+    with pytest.raises(TypeError):
+        prefix_union_counts(2, 2.0)
 
 
 def _union_of_prefixes(q, idx) -> frozenset:

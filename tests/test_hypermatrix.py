@@ -237,3 +237,101 @@ def test_matrix_file_round_trip(tmp_path):
 def test_all_cells_lex_order():
     cells = all_cells((2, 2))
     assert cells == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+# (dims, ones) breaking several rules at once -> the rule reported, and its message
+FIRST_FAULT = [
+    # a non-integer coordinate anywhere is named before any range fault
+    ((2, 2), ((3, 1), (True, 1)), "integer matrix coordinate: True"),
+    ((2, 2), ((1, 9), (1, 2.0)), "integer matrix coordinate: 2.0"),
+    # a non-integer side length before a non-integer coordinate
+    ((2, 2.0), ((1, 1.5),), "integer matrix side length: 2.0"),
+    # a non-integer coordinate before the axis rules
+    ((), ((False,),), "integer matrix coordinate: False"),
+    ((0, 2), ((1, 1.0),), "integer matrix coordinate: 1.0"),
+    ((), ((1, 1),), "positive dimension: at least one axis is required"),
+    ((2, 0), ((3, 1),), "positive side lengths: dims=(2, 0)"),
+    # arity and range are checked per entry, in input order
+    ((2, 2), ((3, 1), (1, 1, 1)), "coordinate within dims: (3, 1) outside (2, 2)"),
+    ((2, 2), ((1, 1, 1), (3, 1)), "coordinate arity: (1, 1, 1) in a 2-dimensional matrix"),
+    ((2, 2), ([1, 0], (1,)), "coordinate within dims: (1, 0) outside (2, 2)"),
+    # duplicates come last
+    ((2, 2), ((1, 1), (1, 1), (3, 1)), "coordinate within dims: (3, 1) outside (2, 2)"),
+    ((2, 2), ((1, 1), (1, 1), (1,)), "coordinate arity: (1,) in a 2-dimensional matrix"),
+    ((2, 2), ((1, 2), [1, 2]), "duplicate coordinates: 1-entries must be distinct"),
+]
+
+
+@pytest.mark.parametrize("dims, ones, message", FIRST_FAULT)
+def test_construction_names_the_first_fault(dims, ones, message):
+    with pytest.raises(InvariantError) as info:
+        HyperMatrix(dims, ones)
+    assert str(info.value) == message
+    assert info.value.invariant == message.split(":")[0]
+
+
+@st.composite
+def any_matrix(draw):
+    """A 2- to 4-dim matrix with sides 1..3, any set of 1s."""
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(draw(st.integers(2, 4))))
+    return HyperMatrix(dims, tuple(draw(st.sets(st.sampled_from(all_cells(dims))))))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(any_matrix())
+def test_loomis_whitney_matches_projection_weights(m):
+    rhs = 1
+    for axis in range(1, m.d + 1):
+        rhs *= projection(m, axis).weight
+    assert loomis_whitney_holds(m) == (m.weight ** (m.d - 1) <= rhs)
+
+
+def _block_oracle(host, pattern, side):
+    """(wide, nonempty, coarse) with each block a matrix of its own, tested
+    with `projection` and `contains`."""
+    d = host.d
+    grid = tuple(-(-n // side) for n in host.dims)
+    wide, nonempty = {}, set()
+    for b in all_cells(grid):
+        lo = tuple((c - 1) * side for c in b)
+        bdims = tuple(min(n, l + side) - l for n, l in zip(host.dims, lo))
+        ones = tuple(
+            tuple(c - l for c, l in zip(o, lo))
+            for o in host.ones
+            if all(l < c <= l + s for c, l, s in zip(o, lo, bdims))
+        )
+        if not ones:
+            continue
+        nonempty.add(b)
+        block = HyperMatrix(bdims, ones)
+        axes = tuple(
+            ax
+            for ax in range(1, d + 1)
+            if contains(projection(block, ax), projection(pattern, ax))
+        )
+        if axes:
+            wide[b] = axes
+    coarse = HyperMatrix(grid, tuple(b for b in nonempty if b not in wide))
+    return wide, frozenset(nonempty), coarse
+
+
+@st.composite
+def blocked_host(draw):
+    """A 2- or 3-dim host, a permutation pattern of the same dimension and a
+    block side 1..3."""
+    d = draw(st.integers(2, 3))
+    dims = tuple(draw(st.integers(1, 6 if d == 2 else 4)) for _ in range(d))
+    host = HyperMatrix(dims, tuple(draw(st.sets(st.sampled_from(all_cells(dims))))))
+    k = draw(st.integers(1, 3))
+    # axis 1 runs 1..k; each other axis is a permutation of 1..k
+    columns = [list(range(1, k + 1))] + [draw(st.permutations(range(1, k + 1))) for _ in range(d - 1)]
+    pattern = HyperMatrix((k,) * d, tuple(zip(*columns)))
+    return host, pattern, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(blocked_host())
+def test_block_analyze_matches_per_block_matrices(instance):
+    host, pattern, side = instance
+    rep = block_analyze(host, pattern, side)
+    assert (rep.wide, rep.nonempty, rep.coarse) == _block_oracle(host, pattern, side)
