@@ -175,7 +175,7 @@ class FreenessReport(NamedTuple):
 
 
 def prefix_matrix_freeness_check(
-    p: Poset, r: Realizer, trials: int, n: int = 5, seed: int = 0
+    p: Poset, r: Realizer, trials: int, n: int, seed: int
 ) -> FreenessReport:
     """Randomized check: a family with no induced copy of p yields a
     prefix-union matrix avoiding the poset's permutation matrix.

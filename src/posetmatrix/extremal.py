@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .cache import ResultCache
 from .errors import CapExceeded, json_int
-from .family import SetFamily, cube_order, cube_swaps, family_contains
+from .family import SetFamily, cube_order, cube_swaps, elements, family_contains
 from .family import occurrence_masks as family_masks
 from .hypermatrix import HyperMatrix, all_cells, contains, occurrence_masks
 from .poset import Poset, diamond, enumerate_patterns
@@ -159,7 +159,7 @@ def la_exact(
 
     return LaResult(*_solve(
         key, cache, n, DEFAULT_LA_CAP, f"ground set size {n}", allow_over_cap,
-        lambda: SetFamily(n, cube_order(n)).to_obj()["sets"],
+        lambda: [elements(s) for s in cube_order(n)],
         lambda: _mask_search(1 << n, family_masks(n, p, induced), cube_swaps(n)),
         witness,
     ))

@@ -32,11 +32,8 @@ class HyperMatrix:
 
     def __post_init__(self) -> None:
         dims = tuple(json_int(s, "matrix side length") for s in self.dims)
-        ones = tuple(self.ones)
-        if not _plainly_valid(dims, ones):
-            ones = _checked_entries(dims, ones)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "ones", tuple(sorted(map(tuple, ones))))
+        object.__setattr__(self, "ones", _checked_entries(dims, tuple(self.ones)))
 
     @property
     def d(self) -> int:
@@ -67,40 +64,31 @@ class HyperMatrix:
         return cls(obj["dims"], obj["ones"])
 
 
-def _plainly_valid(dims, ones) -> bool:
-    """Whether the entries break no rule, decided in bulk; False (also for
-    entries other than tuples and lists) sends them through
-    `_checked_entries` to name the first fault."""
-    d = len(dims)
-    if not d or min(dims) < 1 or not set(map(type, ones)) <= {tuple, list}:
-        return False
-    if not set(map(type, chain.from_iterable(ones))) <= {int}:
-        return False
-    if not set(map(len, ones)) <= {d}:
-        return False
-    if any(min(col) < 1 or max(col) > n for col, n in zip(zip(*ones), dims)):
-        return False
-    return len(set(map(tuple, ones))) == len(ones)
-
-
 def _checked_entries(dims, ones) -> tuple[Coord, ...]:
-    """The entries as tuples, checked one by one: non-integers first, then
-    the axes, then each entry's arity and range in input order, then
-    duplicates.  Raises InvariantError for the first rule broken."""
-    ones = tuple(tuple(json_int(c, "matrix coordinate") for c in o) for o in ones)
+    """The entries as sorted tuples.  Raises InvariantError for the first
+    rule broken: non-integer coordinates, then the axes, then each entry's
+    arity and range in input order, then duplicates.  Each rule is decided
+    in bulk; only a broken one walks the entries to name the culprit."""
+    if set(map(type, ones)) <= {tuple, list} and set(map(type, chain.from_iterable(ones))) <= {int}:
+        ones = tuple(map(tuple, ones))
+    else:
+        ones = tuple(tuple(json_int(c, "matrix coordinate") for c in o) for o in ones)
     if not dims:
         raise InvariantError("positive dimension", "at least one axis is required")
-    if any(s < 1 for s in dims):
+    if min(dims) < 1:
         raise InvariantError("positive side lengths", f"dims={dims}")
     d = len(dims)
-    for o in ones:
-        if len(o) != d:
-            raise InvariantError("coordinate arity", f"{o} in a {d}-dimensional matrix")
-        if any(not 1 <= o[j] <= dims[j] for j in range(d)):
-            raise InvariantError("coordinate within dims", f"{o} outside {dims}")
+    if not set(map(len, ones)) <= {d} or any(
+        min(col) < 1 or max(col) > n for col, n in zip(zip(*ones), dims)
+    ):
+        for o in ones:
+            if len(o) != d:
+                raise InvariantError("coordinate arity", f"{o} in a {d}-dimensional matrix")
+            if any(not 1 <= c <= n for c, n in zip(o, dims)):
+                raise InvariantError("coordinate within dims", f"{o} outside {dims}")
     if len(set(ones)) != len(ones):
         raise InvariantError("duplicate coordinates", "1-entries must be distinct")
-    return ones
+    return tuple(sorted(ones))
 
 
 def load_matrix(path) -> HyperMatrix:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, count, product
+from itertools import count
 from operator import or_
 
 from .embed import find_order_embedding, order_embeddings
@@ -71,17 +71,6 @@ class Poset:
                 m &= m - 1
                 dn[j] |= 1 << i
         return tuple(dn)
-
-    def relation_pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(self.n) if self.less(i, j)]
-
-    def incomparable_pairs(self) -> list[tuple[int, int]]:
-        """Unordered incomparable pairs as (i, j) with i < j."""
-        return [
-            (i, j)
-            for i, j in combinations(range(self.n), 2)
-            if not self.less(i, j) and not self.less(j, i)
-        ]
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -247,22 +236,31 @@ def height(p: Poset) -> int:
 
 
 def linear_extensions(p: Poset):
-    """All linear extensions as index tuples, lexicographic by index sequence."""
-    n = p.n
-    down = p.down
-    seq: list[int] = []
+    """All linear extensions as index tuples, lexicographic by index sequence.
 
-    def rec(placed: int):
+    Depth-first on an explicit stack: left[k] holds the untried minimal
+    elements of what seq[:k] leaves, the ones that can come k-th."""
+    n, up = p.n, p.up
+
+    def minimal(rest: int) -> int:
+        return rest & ~reduce(or_, (up[i] for i in range(n) if rest >> i & 1), 0)
+
+    seq: list[int] = []
+    rest = (1 << n) - 1
+    left = [minimal(rest)]
+    while left:
         if len(seq) == n:
             yield tuple(seq)
-            return
-        for i in range(n):
-            if not placed >> i & 1 and down[i] & ~placed == 0:
-                seq.append(i)
-                yield from rec(placed | 1 << i)
-                seq.pop()
-
-    yield from rec(0)
+        if cand := left[-1]:
+            low = cand & -cand
+            left[-1] = cand ^ low
+            seq.append(low.bit_length() - 1)
+            rest ^= low
+            left.append(minimal(rest))
+        else:
+            left.pop()
+            if seq:
+                rest |= 1 << seq.pop()
 
 
 @dataclass(frozen=True)
@@ -415,25 +413,30 @@ def is_isomorphic(p: Poset, q: Poset) -> bool:
 
 def enumerate_patterns(p: Poset, d: int = 2) -> list[HyperMatrix]:
     """All 2-dimensional 0-1 matrices with |p| ones, no all-zero row or
-    column, whose dominance order is isomorphic to p: in each box, the
-    induced copies of p in the dominance order of its cells that use every
-    row and column.  Deterministic order: by (rows, cols), then by 1-set."""
+    column, whose dominance order is isomorphic to p.
+
+    Such a matrix has at most m = |p| rows and columns, so each one is an
+    induced copy of p in the dominance order of the m x m grid's cells, one
+    whose rows are exactly 1..r and columns exactly 1..c: the copies are
+    enumerated once, in that grid, and each such copy is kept as an r x c
+    pattern.  Deterministic order: by (rows, cols), then by 1-set.
+    """
     if d != 2:
         raise ValueError("pattern enumeration is only supported in 2 dimensions")
     m = p.n
     if m == 0 or m > 6:
         raise ValueError("pattern enumeration supports 1..6 elements")
-    out: list[HyperMatrix] = []
-    for rows, cols in product(range(1, m + 1), repeat=2):
-        cells = all_cells((rows, cols))
-        grid = pattern_order(HyperMatrix((rows, cols), cells))
-        embeddings = order_embeddings(p, grid.up, grid.down, (1 << len(cells)) - 1, True)
-        # cells come in lexicographic order, so sorted images are sorted 1-sets
-        for image in sorted({tuple(sorted(e)) for e in embeddings}):
-            ones = [cells[t] for t in image]
-            if len({i for i, _ in ones}) == rows and len({j for _, j in ones}) == cols:
-                out.append(HyperMatrix((rows, cols), ones))
-    return out
+    cells = all_cells((m, m))
+    grid = pattern_order(HyperMatrix((m, m), cells))
+    embeddings = order_embeddings(p, grid.up, grid.down, (1 << len(cells)) - 1, True)
+    found = []
+    # cells come in lexicographic order, so sorted images are sorted 1-sets
+    for image in {tuple(sorted(e)) for e in embeddings}:
+        ones = [cells[t] for t in image]
+        rows, cols = {i for i, _ in ones}, {j for _, j in ones}
+        if max(rows) == len(rows) and max(cols) == len(cols):
+            found.append(((len(rows), len(cols)), ones))
+    return [HyperMatrix(dims, ones) for dims, ones in sorted(found)]
 
 
 def subposet_embeds(p: Poset, q: Poset, induced: bool) -> bool:

@@ -202,7 +202,7 @@ def test_freeness_check_needs_two_orders():
     p = chain(3)
     _, realizer = dimension(p)
     with pytest.raises(ValueError, match="2 linear orders"):
-        prefix_matrix_freeness_check(p, realizer, trials=1)
+        prefix_matrix_freeness_check(p, realizer, trials=1, n=5, seed=0)
 
 
 def _delete_and_rebuild(p, d, trials, n, seed):
