@@ -4,8 +4,10 @@ A partition splits a permutation of 1..n into d ordered runs.  Picking an
 index into each run and collecting the elements before it yields a prefix
 union; the 0-1 matrix of which index vectors land inside a set family is the
 bridge between family problems and pattern problems.  The randomized
-freeness check builds a family's inclusion tables once and deletes a member
-by clearing its bit in the embedding search's universe.
+freeness check builds a family's inclusion tables once and runs one
+embedding search per trial: it deletes a member of each copy found by
+clearing its bit in the universe and sending the smaller universe to the
+search, which resumes where the copy was found.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import CapExceeded, InvariantError, json_int
-from .embed import find_order_embedding
+from .embed import order_embeddings
 from .family import SetFamily, elements, inclusion_tables
 from .hypermatrix import HyperMatrix, contains
 from .poset import Poset, Realizer, realizer_to_matrix
@@ -181,8 +183,9 @@ def prefix_matrix_freeness_check(
     prefix-union matrix avoiding the poset's permutation matrix.
 
     Each trial draws a random family, deletes a random member of the first
-    induced copy of p until there is none, draws a random partition, and
-    tests the matrix.
+    induced copy of p until there is none (one resumed search, see
+    `embed.order_embeddings`), draws a random partition, and tests the
+    matrix.
     """
     d = r.order_count
     if d < 2:
@@ -194,8 +197,14 @@ def prefix_matrix_freeness_check(
         masks = tuple(m for m in range(1 << n) if rng.random() < 0.5)
         sup, sub = inclusion_tables(masks)
         keep = (1 << len(masks)) - 1
-        while (emb := find_order_embedding(p, sup, sub, keep, True)) is not None:
-            keep ^= 1 << rng.choice(emb)
+        search = order_embeddings(p, sup, sub, keep, True)
+        try:
+            emb = next(search)
+            while True:
+                keep ^= 1 << rng.choice(emb)
+                emb = search.send(keep)
+        except StopIteration:
+            pass
         fam = SetFamily(n, tuple(m for i, m in enumerate(masks) if keep >> i & 1))
         perm = list(range(1, n + 1))
         rng.shuffle(perm)

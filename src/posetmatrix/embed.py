@@ -7,9 +7,20 @@ listing the targets strictly above / below t.  The source is a poset-like
 object exposing n and its up and down bitmasks.  Weak mode preserves
 relations one way (x < y forces image above image); induced mode preserves
 both relations and incomparabilities.
+
+Embeddings that differ by an automorphism of the source have the same image,
+so the search yields one per automorphism orbit, the lexicographically least
+(lex-leader symmetry breaking, Crawford, Ginsberg, Luks and Roy 1996): for an
+automorphism whose least moved element is i, e is below e∘σ exactly when
+e(i) < e(σ(i)).  The pairs (i, σ(i)) come from the same search run of the
+source into itself, once per poset.  The search is also resumable: sending
+it a smaller universe after a yield drops the lost targets and backs up to
+the first element whose image was lost.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def degree_filter(p, sup: list[int], sub: list[int], universe: int) -> list[int]:
@@ -37,24 +48,65 @@ def degree_filter(p, sup: list[int], sub: list[int], universe: int) -> list[int]
 
 
 def order_embeddings(p, sup: list[int], sub: list[int], universe: int, induced: bool):
-    """Every embedding of p into the targets of `universe`, as tuples.
+    """One embedding of p into the targets of `universe` per automorphism
+    orbit of p, as tuples: the lexicographically least of each orbit, in
+    lexicographic order.  Every image of an embedding is the image of one
+    that is yielded; in induced mode each image is yielded exactly once.
 
-    Source elements are placed in order and each one's candidates are
-    scanned in increasing target order, so the embeddings come in
-    lexicographic order.
+    After a yield, `send(smaller)` with a subset of the universe goes on
+    inside `smaller`: the next yield is the next embedding after the current
+    one that lies in it.  When every earlier embedding holds a target
+    outside `smaller`, as when the caller drops a target of each one it is
+    given, that is the first embedding into `smaller`, the one
+    `find_order_embedding` returns.  The degree filter stays the one built
+    for the first universe: weaker than a fresh one, but still valid.
     """
-    k = p.n
+    if universe.bit_count() < p.n:
+        return iter(())
+    up, down = tuple(p.up), tuple(p.down)
+    allowed = degree_filter(p, sup, sub, universe)
+    return _search(up, down, sup, sub, allowed, induced, _orbit_cuts(up, down))
+
+
+@lru_cache(maxsize=1024)
+def _orbit_cuts(up: tuple[int, ...], down: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each source element j, the elements i < j that some automorphism
+    fixing 0..i-1 maps to j: a lex-least embedding puts j above i.
+
+    Each pair is one existence search of the poset into itself, with y
+    pinned to y for y < i and i pinned to j; an automorphism keeps up and
+    down degrees, so every element may go only to elements like it."""
+    k = len(up)
+    degrees = [(u.bit_count(), d.bit_count()) for u, d in zip(up, down)]
+    alike = [sum(1 << y for y in range(k) if degrees[y] == degrees[x]) for x in range(k)]
+    none = ((),) * k
+    after: list[list[int]] = [[] for _ in range(k)]
+    for i in range(k):
+        rest = alike[i] >> i + 1 << i + 1
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            pinned = [1 << y for y in range(i)] + [1 << j] + alike[i + 1 :]
+            if next(_search(up, down, up, down, pinned, True, none), None) is not None:
+                after[j].append(i)
+    return tuple(map(tuple, after))
+
+
+def _search(up, down, sup, sub, allowed: list[int], induced: bool, after):
+    """The embeddings of the source (tables up, down) into the targets,
+    element x going into allowed[x] and above the image of every element of
+    after[x], in lexicographic order; resumable as `order_embeddings` says.
+    `allowed` is updated in place."""
+    k = len(up)
     if k == 0:
         yield ()
         return
-    if universe.bit_count() < k:
-        return
-    allowed = degree_filter(p, sup, sub, universe)
     assign = [0] * k
-    up, down = p.up, p.down
 
     def candidates(x: int, used: int) -> int:
         cand = allowed[x] & ~used
+        for i in after[x]:
+            cand &= -(2 << assign[i])
         below, above = down[x], up[x]
         for y in range(x):
             t = assign[y]
@@ -70,6 +122,7 @@ def order_embeddings(p, sup: list[int], sub: list[int], universe: int, induced: 
 
     # depth-first on an explicit stack: left[x] holds the untried candidates
     # of element x, used the targets of elements 0..x-1
+    last = k - 1
     left = [0] * k
     left[0] = candidates(0, 0)
     x, used = 0, 0
@@ -83,8 +136,20 @@ def order_embeddings(p, sup: list[int], sub: list[int], universe: int, induced: 
         low = cand & -cand
         left[x] = cand ^ low
         assign[x] = low.bit_length() - 1
-        if x + 1 == k:
-            yield tuple(assign)
+        if x == last:
+            universe = yield tuple(assign)
+            if universe is not None:
+                # every embedding sharing assign[:y + 1] with this one holds
+                # the lost target assign[y]: back up to the first such y
+                for y in range(k):
+                    allowed[y] &= universe
+                    left[y] &= universe
+                y = 0
+                while y < x and universe >> assign[y] & 1:
+                    y += 1
+                while x > y:
+                    x -= 1
+                    used ^= 1 << assign[x]
         else:
             used |= low
             x += 1

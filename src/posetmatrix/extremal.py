@@ -41,6 +41,7 @@ labels, their search and a witness builder that re-checks what it builds.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -351,12 +352,7 @@ def random_free_matrix(dims, patterns, rng) -> HyperMatrix:
     dims = tuple(json_int(x, "matrix side length") for x in dims)
     pats = _check_patterns(dims, patterns)
     cells = all_cells(dims)
-    through: list[list[int]] = [[] for _ in cells]  # the masks holding each cell
-    for m in occurrence_masks(dims, pats):
-        rest = m
-        while rest:
-            through[(rest & -rest).bit_length() - 1].append(m)
-            rest &= rest - 1
+    through = _masks_through_cells(dims, pats)
     # shuffling positions permutes exactly as shuffling the cells would
     order = list(range(len(cells)))
     rng.shuffle(order)
@@ -366,3 +362,17 @@ def random_free_matrix(dims, patterns, rng) -> HyperMatrix:
         if all(m & cur != m ^ bit for m in through[i]):
             cur |= bit
     return HyperMatrix(dims, _picked(cells, cur))
+
+
+@lru_cache(maxsize=64)  # `verify blocks` draws at most 49 shapes
+def _masks_through_cells(dims, pats) -> tuple[tuple[int, ...], ...]:
+    """Per cell of the box, the copies of the patterns holding it, as
+    `occurrence_masks` gives them: kept per (dims, patterns), since random
+    hosts are drawn from few shapes."""
+    through: list[list[int]] = [[] for _ in range(prod(dims))]
+    for m in occurrence_masks(dims, pats):
+        rest = m
+        while rest:
+            through[(rest & -rest).bit_length() - 1].append(m)
+            rest &= rest - 1
+    return tuple(map(tuple, through))

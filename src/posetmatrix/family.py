@@ -153,9 +153,11 @@ def occurrence_masks(n: int, p, induced: bool) -> list[int]:
 
     A copy is the image set of one embedding, weak or induced.  Whether a set
     of members is an induced copy depends only on those members, so a family
-    contains p exactly when some mask is a subset of its members.  The images
-    of embeddings that differ by an automorphism of p coincide and are kept
-    once; the masks come sorted, hence grouped by highest set.
+    contains p exactly when some mask is a subset of its members.  The
+    search yields one embedding per automorphism orbit of p, so an induced
+    copy comes once; weak embeddings from different orbits can share an
+    image, which is kept once.  The masks come sorted, hence grouped by
+    highest set.
     """
     sup, sub = inclusion_tables(cube_order(n))
     embeddings = order_embeddings(p, sup, sub, (1 << len(sup)) - 1, induced)

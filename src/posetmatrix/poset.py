@@ -430,9 +430,10 @@ def enumerate_patterns(p: Poset, d: int = 2) -> list[HyperMatrix]:
     grid = pattern_order(HyperMatrix((m, m), cells))
     embeddings = order_embeddings(p, grid.up, grid.down, (1 << len(cells)) - 1, True)
     found = []
-    # cells come in lexicographic order, so sorted images are sorted 1-sets
-    for image in {tuple(sorted(e)) for e in embeddings}:
-        ones = [cells[t] for t in image]
+    # each induced copy comes once, and cells come in lexicographic order,
+    # so sorted images are sorted 1-sets
+    for e in embeddings:
+        ones = [cells[t] for t in sorted(e)]
         rows, cols = {i for i, _ in ones}, {j for _, j in ones}
         if max(rows) == len(rows) and max(cols) == len(cols):
             found.append(((len(rows), len(cols)), ones))

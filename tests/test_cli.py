@@ -284,6 +284,21 @@ def test_verify_all_frozen_bytes(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        ("0", "890491a034baddc802acd97ff462c740ff18087b070e6f88e54072952f05d565"),
+        ("3", "a2c99d5d51e1436d61d132065ba0ab65b16798e133edcd5a444b155e54374276"),
+    ],
+)
+def test_verify_counta_frozen_bytes(capsys, seed, digest):
+    # each deletion draws from the copy the search returns, so a resumed
+    # search that returned another copy would change these bytes
+    code, out, err = invoke(capsys, "--no-cache", "--seed", seed, "verify", "counta", "--trials", "334")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_default_trials(capsys):
     obj = invoke_json(capsys, "--no-cache", "verify", "doublecount")
     assert obj["trials"] == 50

@@ -1,11 +1,15 @@
 import json
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posetmatrix import (
     InvariantError,
+    Poset,
     SetFamily,
     antichain,
     butterfly,
@@ -19,7 +23,7 @@ from posetmatrix import (
     shifted_lubell,
     vee,
 )
-from posetmatrix.embed import degree_filter
+from posetmatrix.embed import degree_filter, find_order_embedding, order_embeddings
 from posetmatrix.family import (
     cube_order,
     cube_swaps,
@@ -188,3 +192,85 @@ def test_occurrence_masks_invariant_under_cube_swaps():
                 for swap in swaps:
                     image = {sum(1 << swap[c] for c in range(len(swap)) if m >> c & 1) for m in masks}
                     assert image == set(masks), (n, p, induced)
+
+
+@st.composite
+def small_posets(draw):
+    """A poset on at most 5 elements, relations closed transitively, labels
+    listed in a random order so that element indices need not follow it."""
+    k = draw(st.integers(1, 5))
+    pairs = draw(st.sets(st.sampled_from(list(combinations(range(k), 2))))) if k > 1 else set()
+    order = draw(st.permutations(range(k)))
+    return Poset.from_pairs([str(x) for x in order], [(str(a), str(b)) for a, b in pairs])
+
+
+@st.composite
+def small_families(draw):
+    """Distinct subsets of {1..n}, n <= 4, at most 8 of them, in random order."""
+    n = draw(st.integers(0, 4))
+    return draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=8))
+
+
+def brute_embeddings(p, masks, induced):
+    """Every injection of p into the sets that keeps the order (and, when
+    induced, the incomparabilities), in lexicographic order."""
+
+    def below(a: int, b: int) -> bool:
+        return a != b and a & ~b == 0
+
+    return [
+        e
+        for e in permutations(range(len(masks)), p.n)
+        if all(
+            below(masks[e[x]], masks[e[y]])
+            if p.less(x, y)
+            else not (induced and below(masks[e[x]], masks[e[y]]))
+            for x in range(p.n)
+            for y in range(p.n)
+            if x != y
+        )
+    ]
+
+
+TWO_CHAINS = Poset.from_pairs(["a0", "b0", "a1", "b1"], [("a0", "a1"), ("b0", "b1")])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(small_posets(), small_families(), st.booleans())
+# swapping the chains moves a0 and a1 at once, so e(a0) < e(b0) must not also
+# force e(a1) < e(b1): here the one copy has a0, b0, b1, a1 at members 0..3
+@example(TWO_CHAINS, [0b0001, 0b0010, 0b1010, 0b0101], True)
+def test_order_embeddings_one_per_orbit(p, masks, induced):
+    sup, sub = inclusion_tables(masks)
+    got = list(order_embeddings(p, sup, sub, (1 << len(masks)) - 1, induced))
+    want = brute_embeddings(p, masks, induced)
+    assert got == sorted(set(got))
+    assert {frozenset(e) for e in got} == {frozenset(e) for e in want}
+    assert got[:1] == want[:1]
+    if induced:
+        # embeddings onto one induced copy differ by an automorphism
+        assert len({frozenset(e) for e in got}) == len(got)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(small_posets(), small_families(), st.booleans(), st.data())
+def test_order_embeddings_resume_after_deletion(p, masks, induced, data):
+    sup, sub = inclusion_tables(masks)
+    keep = (1 << len(masks)) - 1
+    search = order_embeddings(p, sup, sub, keep, induced)
+    emb = next(search, None)
+    assert emb == find_order_embedding(p, sup, sub, keep, induced)
+    while emb is not None:
+        keep ^= 1 << data.draw(st.sampled_from(emb))
+        try:
+            emb = search.send(keep)
+        except StopIteration:
+            emb = None
+        assert emb == find_order_embedding(p, sup, sub, keep, induced)
+
+
+def test_antichain_into_an_antichain_once():
+    # the 3! relabellings of one copy are one automorphism orbit
+    sup, sub = inclusion_tables([0b001, 0b010, 0b100])
+    for induced in (False, True):
+        assert list(order_embeddings(antichain(3), sup, sub, 0b111, induced)) == [(0, 1, 2)]
