@@ -16,8 +16,11 @@ the last of a mask whose other positions are all taken.  The bound counts
 live masks (no position decided out) whose undecided positions are pairwise
 disjoint: each forces one more position out.  Each node holds its live
 masks as one int bitset over mask indices, so the include test and the
-bound are a few bitset operations rather than a scan of the masks.  No mask
-may be empty.
+bound are a few bitset operations rather than a scan of the masks.  The
+bitset holds the masks in reverse order, the first at the highest bit: a
+live mask's last position is still undecided, so the live masks are the
+low bits, and the bitsets shrink as the search goes deeper and as the bound
+clears masks.  No mask may be empty.
 
 The search also takes symmetries of the mask set, position permutations
 that are involutions, and cuts a node whose every completion one of them
@@ -241,10 +244,16 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
       so that one is never cut: the result does not depend on `syms`.
 
     Each node carries `live`, the masks with no cell decided out, as a
-    bitset over mask indices.  A cell may be taken unless a live mask has it
-    as its highest cell: every other cell of such a mask is taken.  The
-    bound takes the live masks in index order, skipping any that shares an
-    undecided cell with one already taken; each forces one more cell out.
+    bitset with mask i at bit M-1-i (M masks): the reverse of index order.
+    A cell may be taken unless a live mask has it as its highest cell: every
+    other cell of such a mask is taken.  So a live mask's highest cell is
+    at least pos, and as the masks are sorted, the live ones sit in the low
+    bits and `live` gets shorter as pos advances.  The bound takes the live
+    masks in index order, skipping any that shares an undecided cell with
+    one already taken; each forces one more cell out.  The least index left
+    is the highest bit, found without building a new int, and the bitsets
+    that clear masks are non-negative, so each step costs only the length
+    of what is left.
 
     X and sym(X) can first differ only at a cell c < sym[c], where X at c
     is compared with X at sym[c].  A sym's comparisons are used in order of
@@ -267,26 +276,29 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
                     break
                 waits[d].append((1 << k, c))
                 last = d
-    cells = []  # the cells of each mask, highest first
-    # through[c]: the masks that hold cell c, one bit per mask index; bytes
+    size = len(masks)
+    full = (1 << size) - 1
+    cells = []  # the cells of each mask, highest first, by bit
+    # through[c]: the masks that hold cell c, mask i at bit size-1-i; bytes
     # keep building linear in the number of masks
-    through = [bytearray((len(masks) + 7) // 8) for _ in range(total)]
-    for i, m in enumerate(masks):
+    through = [bytearray((size + 7) // 8) for _ in range(total)]
+    for bit, m in enumerate(reversed(masks)):
         held = []
         while m:
             c = m.bit_length() - 1
             held.append(c)
             m ^= 1 << c
-            through[c][i >> 3] |= 1 << (i & 7)
+            through[c][bit >> 3] |= 1 << (bit & 7)
         cells.append(held)
-    # out[c] = ~through[c] clears the masks that hold cell c
-    out = [~int.from_bytes(row, "little") for row in through]
-    # masks are sorted, so those with highest cell pos are a range of indices
-    start = [bisect_left(masks, 1 << pos) for pos in range(total + 1)]
-    top = [(1 << start[pos + 1]) - (1 << start[pos]) for pos in range(total)]
+    # out[c] clears the masks that hold cell c
+    out = [full ^ int.from_bytes(row, "little") for row in through]
+    # masks are sorted, so those with highest cell at least pos are the bits
+    # below start[pos], and those with highest cell pos a range of bits
+    start = [size - bisect_left(masks, 1 << pos) for pos in range(total + 1)]
+    top = [(1 << start[pos]) - (1 << start[pos + 1]) for pos in range(total)]
     best, best_cur = -1, 0
     # next cell, chosen cells, their number, live masks, tied syms
-    stack = [(0, 0, 0, (1 << len(masks)) - 1, (1 << len(syms)) - 1)]
+    stack = [(0, 0, 0, full, (1 << len(syms)) - 1)]
     while stack:
         pos, cur, ones, live, tied = stack.pop()
         slack = ones + total - pos - best
@@ -302,7 +314,7 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
             slack -= 1
             if not slack:
                 break
-            for c in cells[(free & -free).bit_length() - 1]:
+            for c in cells[free.bit_length() - 1]:
                 if c < pos:
                     break
                 free &= out[c]

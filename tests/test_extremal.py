@@ -166,18 +166,22 @@ def test_mask_search_matches_brute_force(instance):
 
 
 @st.composite
+def involutions(draw, total):
+    """A random involution of the cells 0..total-1: swaps of disjoint pairs."""
+    cells = draw(st.permutations(range(total)))
+    sym = list(range(total))
+    for i in range(draw(st.integers(0, total // 2))):
+        a, b = cells[2 * i], cells[2 * i + 1]
+        sym[a], sym[b] = b, a
+    return sym
+
+
+@st.composite
 def symmetric_mask_lists(draw):
     """`mask_lists` with one or two random involutions of its cells, the
     masks closed under both."""
     total, masks = draw(mask_lists())
-    syms = []
-    for _ in range(draw(st.integers(1, 2))):
-        cells = draw(st.permutations(range(total)))
-        sym = list(range(total))
-        for i in range(draw(st.integers(0, total // 2))):
-            a, b = cells[2 * i], cells[2 * i + 1]
-            sym[a], sym[b] = b, a
-        syms.append(sym)
+    syms = [draw(involutions(total)) for _ in range(draw(st.integers(1, 2)))]
     closed, new = set(masks), set(masks)
     while new:
         images = {sum(1 << sym[c] for c in range(total) if m >> c & 1) for m in new for sym in syms}
@@ -197,6 +201,38 @@ def symmetric_mask_lists(draw):
 @example((8, [6, 62, 96, 122, 170], [[0, 5, 6, 3, 4, 1, 2, 7]]))
 def test_symmetric_mask_search_matches_trivial_group(instance):
     total, masks, syms = instance
+    expected = brute_mask_search(total, masks)
+    assert extremal._mask_search(total, masks, syms) == expected
+    assert extremal._mask_search(total, masks) == expected
+
+
+@st.composite
+def wide_mask_lists(draw, with_sym):
+    """8 to 11 cells and 65 to 200 distinct masks of 2 or 3 cells, sorted:
+    more masks than one machine word holds.  With `with_sym`, also a random
+    involution of the cells, and the masks closed under it."""
+    total = draw(st.integers(8, 11))
+    sym = draw(involutions(total)) if with_sym else list(range(total))
+    # each mask with its image under sym, so a pick of orbits is closed
+    orbits = set()
+    for size in (2, 3):
+        for cs in combinations(range(total), size):
+            orbits.add(frozenset((sum(1 << c for c in cs), sum(1 << sym[c] for c in cs))))
+    want = draw(st.integers(65, 199))
+    masks = []
+    for orbit in draw(st.permutations(sorted(map(sorted, orbits)))):
+        if len(masks) >= want:
+            break
+        masks.extend(orbit)
+    return total, sorted(masks), [sym] if with_sym else []
+
+
+@pytest.mark.parametrize("with_sym", [False, True])
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.data())
+def test_wide_mask_search_matches_brute_force(with_sym, data):
+    total, masks, syms = data.draw(wide_mask_lists(with_sym))
+    assert len(masks) > 64
     expected = brute_mask_search(total, masks)
     assert extremal._mask_search(total, masks, syms) == expected
     assert extremal._mask_search(total, masks) == expected
@@ -417,6 +453,8 @@ def test_la_chain_three_six():
     res = la_exact(6, chain(3), False, allow_over_cap=True)
     assert res.value == res.witness.size == erdos_bound(6, 3) == 35
     assert not brute_family_contains(res.witness, chain(3), False)
+    # the lexicographically least: every set of size 2, then of size 3
+    assert res.witness.masks == tuple(m for m in cube_order(6) if m.bit_count() in (2, 3))
 
 
 def test_la_antichain_three_induced_six():
@@ -424,6 +462,8 @@ def test_la_antichain_three_induced_six():
     res = la_exact(6, antichain(3), True, allow_over_cap=True)
     assert res.value == res.witness.size == 12
     assert not brute_family_contains(res.witness, antichain(3), True)
+    # the lexicographically least, as bitmasks (element i at bit i-1)
+    assert res.witness.masks == (0, 1, 2, 3, 5, 7, 11, 15, 23, 31, 47, 63)
 
 
 def test_la_vee_induced_six():
@@ -431,6 +471,23 @@ def test_la_vee_induced_six():
     res = la_exact(6, vee(2), True, allow_over_cap=True)
     assert res.value == res.witness.size == 25
     assert not brute_family_contains(res.witness, vee(2), True)
+    # the lexicographically least, as bitmasks (element i at bit i-1)
+    assert res.witness.masks == (
+        7, 11, 13, 14, 19, 21, 22, 25, 26, 37, 38, 41, 42, 44, 49, 50, 52, 56,
+        29, 30, 39, 43, 51, 60, 63,
+    )
+
+
+def test_ex_frontier_witnesses():
+    # the lexicographically least witnesses: the cells with a coordinate
+    # at most 2 for I3 on 6x6, and with a coordinate 1 for the 3-dim 2x2x2
+    # identity on 4x4x4
+    res = ex_exact((6, 6), [identity_matrix(3)], allow_over_cap=True)
+    assert res.value == 20
+    assert res.witness.ones == tuple(c for c in all_cells((6, 6)) if min(c) <= 2)
+    res = ex_exact((4, 4, 4), [identity_matrix(2, 3)], allow_over_cap=True)
+    assert res.value == 37
+    assert res.witness.ones == tuple(c for c in all_cells((4, 4, 4)) if 1 in c)
 
 
 def test_la_generic_agrees_with_chain_shortcut():
