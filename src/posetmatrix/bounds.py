@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import CapExceeded
+from .errors import CapExceeded, json_int
 from .extremal import DEFAULT_CELL_CAP, ex_exact
 from .family import family_contains, middle_levels
 from .hypermatrix import HyperMatrix
@@ -18,7 +18,7 @@ from .poset import Poset, diamond, dimension, height, is_isomorphic, realizer_to
 
 def erdos_bound(n: int, k: int) -> int:
     """Largest chain-free family: sum of the k-1 biggest binomials C(n, i)."""
-    if n < 0 or k < 1:
+    if json_int(n, "ground set size") < 0 or json_int(k, "chain size") < 1:
         raise ValueError(f"need n >= 0 and k >= 1, got n={n} k={k}")
     sizes = sorted((comb(n, i) for i in range(n + 1)), reverse=True)
     return sum(sizes[: k - 1])
@@ -34,7 +34,7 @@ def weak_chain_coefficient(p: Poset) -> int:
 
 def chen_li_bound(p: Poset, m: int) -> Fraction:
     """Middle-binomial coefficient (1/(m+1)) (|p| + (m^2+3m-2)/2 (h-1) - 1)."""
-    if m < 1:
+    if json_int(m, "Chen-Li parameter m") < 1:
         raise ValueError("m must be positive")
     h = height(p)
     return Fraction(1, m + 1) * (p.n + Fraction(m * m + 3 * m - 2, 2) * (h - 1) - 1)
@@ -53,7 +53,7 @@ def best_chen_li(p: Poset) -> tuple[int, Fraction]:
 
 def gmt_bound(p: Poset, k: int) -> Fraction:
     """Middle-binomial coefficient (1/2^(k-1)) (|p| + (3k-5) 2^(k-2) (h-1) - 1)."""
-    if k < 2:
+    if json_int(k, "GMT parameter k") < 2:
         raise ValueError("k must be at least 2")
     h = height(p)
     return Fraction(1, 2 ** (k - 1)) * (p.n + (3 * k - 5) * 2 ** (k - 2) * (h - 1) - 1)
@@ -66,7 +66,7 @@ def best_gmt(p: Poset) -> tuple[int, Fraction]:
 def marcus_tardos_constant(k: int) -> int:
     """2 k^4 C(k^2, k): per-row-of-blocks cost in the permutation pattern
     density argument."""
-    if k < 1:
+    if json_int(k, "pattern size") < 1:
         raise ValueError("k must be positive")
     return 2 * k**4 * comb(k * k, k)
 
@@ -77,7 +77,7 @@ MT_K2 = marcus_tardos_constant(2)
 def binomial_shift_check(n: int, d: int) -> tuple[int, int, bool]:
     """C(n+2d-2, floor(n/2)+d-1) <= 4^(d-1) C(n, floor(n/2)), with equality
     at d=1."""
-    if n < 0 or d < 1:
+    if json_int(n, "ground set size") < 0 or json_int(d, "dimension") < 1:
         raise ValueError(f"need n >= 0 and d >= 1, got n={n} d={d}")
     lhs = comb(n + 2 * d - 2, n // 2 + d - 1)
     rhs = 4 ** (d - 1) * comb(n, n // 2)

@@ -89,6 +89,7 @@ def prefix_union(q: PermutationPartition, idx) -> frozenset[int]:
 
 def partition_count(n: int, d: int) -> int:
     """Number of d-part partitions of a permutation of 1..n."""
+    n, d = json_int(n, "partition size"), json_int(d, "part count")
     return factorial(n) * comb(n + d - 1, d - 1)
 
 
@@ -115,6 +116,8 @@ def _split(perm, cuts) -> PermutationPartition:
 def count_partitions_with_prefix(n: int, d: int, f: int) -> int:
     """Number of d-part partitions of 1..n having a given f-set among their
     prefix unions: the set fills the run prefixes, its complement the rest."""
+    n, d = json_int(n, "partition size"), json_int(d, "part count")
+    f = json_int(f, "prefix set size")
     if not 0 <= f <= n:
         raise ValueError(f"need 0 <= f <= n, got f={f} n={n}")
     return (
@@ -187,6 +190,8 @@ def prefix_matrix_freeness_check(
     `embed.order_embeddings`), draws a random partition, and tests the
     matrix.
     """
+    json_int(trials, "trial count")
+    json_int(n, "ground set size")
     d = r.order_count
     if d < 2:
         raise ValueError("need a realizer with at least 2 linear orders")

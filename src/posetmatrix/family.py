@@ -173,7 +173,7 @@ def lubell(fam: SetFamily) -> Fraction:
 def shifted_lubell(fam: SetFamily, d: int) -> Fraction:
     """Weight with each member's size shifted by d-1 inside a ground set
     padded by 2d-2, matching the prefix-union construction in d parts."""
-    if d < 1:
+    if json_int(d, "dimension") < 1:
         raise ValueError("d must be positive")
     big = fam.n + 2 * d - 2
     return sum(
@@ -183,7 +183,7 @@ def shifted_lubell(fam: SetFamily, d: int) -> Fraction:
 
 def middle_levels(n: int, m: int) -> SetFamily:
     """Union of the m middle size-levels of the n-cube, smaller sizes first."""
-    if n < 0 or m < 1 or m > n + 1:
+    if json_int(n, "ground set size") < 0 or json_int(m, "level count") < 1 or m > n + 1:
         raise ValueError(f"need 0 <= n and 1 <= m <= n+1, got n={n} m={m}")
     # center the window: lowest included size is ceil((n-m+1)/2)
     lo = max(0, -(-(n - m + 1) // 2))

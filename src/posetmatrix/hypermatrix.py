@@ -258,6 +258,7 @@ class BlockReport:
 def wide_block_limit(pattern: HyperMatrix, side: int) -> int:
     """Cap on axis-wide blocks per blockcolumn of a pattern-free host:
     (k-1) * C(side^(d-1), k) for a permutation pattern with k ones."""
+    json_int(side, "block side")
     if not is_permutation_matrix(pattern):
         raise ValueError("the wide-block limit needs a permutation pattern")
     k = pattern.dims[0]
@@ -270,7 +271,7 @@ def block_analyze(host: HyperMatrix, pattern: HyperMatrix, side: int) -> BlockRe
         raise ValueError("host and pattern must have the same dimension")
     if host.d < 2:
         raise ValueError("block analysis needs dimension >= 2")
-    if side < 1:
+    if json_int(side, "block side") < 1:
         raise ValueError("block side must be positive")
     if not is_permutation_matrix(pattern):
         raise ValueError("block analysis is defined against a permutation pattern")
@@ -311,4 +312,4 @@ def block_analyze(host: HyperMatrix, pattern: HyperMatrix, side: int) -> BlockRe
 
 def all_cells(dims) -> list[Coord]:
     """Every coordinate of the given box, in lexicographic order."""
-    return sorted(product(*(range(1, s + 1) for s in dims)))
+    return list(product(*(range(1, s + 1) for s in dims)))

@@ -8,7 +8,7 @@ and transitivity, so every Poset in the system is a genuine strict order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import count
 from operator import or_
@@ -21,10 +21,15 @@ from .hypermatrix import HyperMatrix, all_cells
 
 @dataclass(frozen=True)
 class Poset:
-    """Strict order; up[i] is the bitmask of elements strictly above element i."""
+    """Strict order; up[i] is the bitmask of elements strictly above element i.
+
+    Construction also sets down[i], the elements strictly below i, and
+    covers, the pairs (i, j) with j covering i, in ascending order."""
 
     elements: tuple[str, ...]
     up: tuple[int, ...]
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    covers: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         elements = tuple(str(e) for e in self.elements)
@@ -36,10 +41,14 @@ class Poset:
             raise InvariantError("relation table size", f"{len(up)} rows for {n} elements")
         if any(m < 0 or m >> n for m in up):
             raise InvariantError("relation table range", "mask bits outside the element range")
+        # one walk over the related pairs checks the axioms and fills down
+        # and covers: j covers i when it lies above no other element above i
+        down = [0] * n
+        covers = []
         for i in range(n):
             if up[i] >> i & 1:
                 raise InvariantError("irreflexive", f"{elements[i]} < itself")
-            m = up[i]
+            m, beyond = up[i], 0
             while m:
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
@@ -52,8 +61,16 @@ class Poset:
                         "transitive",
                         f"{elements[i]} < {elements[j]} but not everything above {elements[j]}",
                     )
+                down[j] |= 1 << i
+                beyond |= up[j]
+            m = up[i] & ~beyond
+            while m:
+                covers.append((i, (m & -m).bit_length() - 1))
+                m &= m - 1
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "covers", tuple(covers))
 
     @property
     def n(self) -> int:
@@ -61,30 +78,6 @@ class Poset:
 
     def less(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
-
-    @cached_property
-    def down(self) -> tuple[int, ...]:
-        dn = [0] * self.n
-        for i, m in enumerate(self.up):
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                dn[j] |= 1 << i
-        return tuple(dn)
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs i < j with nothing above i that lies below j."""
-        up, down = self.up, self.down
-        pairs = []
-        for i, above in enumerate(up):
-            m = above
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not above & down[j]:
-                    pairs.append((i, j))
-        return tuple(pairs)
 
     @cached_property
     def height(self) -> int:
@@ -149,11 +142,8 @@ def load_poset_file(path) -> Poset:
 
 def chain(k: int) -> Poset:
     _positive(k)
-    up = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            up[i] |= 1 << j
-    return Poset(tuple(f"a{i + 1}" for i in range(k)), tuple(up))
+    up = tuple((1 << k) - (2 << i) for i in range(k))  # bits i+1..k-1
+    return Poset(tuple(f"a{i + 1}" for i in range(k)), up)
 
 
 def antichain(k: int) -> Poset:
@@ -336,15 +326,12 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
     cover = [m & full for m in masks]
     if full == 0:  # a chain: its one extension realizes it
         return 1, Realizer((exts[0],))
-    max_cover = max(c.bit_count() for c in cover)
     choice: list[int] = []
 
     def dfs(start: int, covered: int, slots: int) -> bool:
         if covered == full:
             return True
         if slots == 0:
-            return False
-        if max_cover * slots < (full & ~covered).bit_count():
             return False
         for e in range(start, len(exts) - slots + 1):
             if cover[e] & ~covered == 0:
@@ -355,8 +342,9 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
             choice.pop()
         return False
 
-    # every poset has a realizer of at most p.n orders, so this returns
-    for t in count(1):
+    # an incomparable pair needs two orders, and every poset has a realizer
+    # of at most p.n orders, so this returns
+    for t in count(2):
         choice.clear()
         if dfs(0, 0, t):
             return t, Realizer(tuple(exts[e] for e in choice))
@@ -444,5 +432,5 @@ def subposet_embeds(p: Poset, q: Poset, induced: bool) -> bool:
     """Whether p embeds into q (order-preserving; both ways when induced)."""
     if p.n > q.n:
         return False
-    found = find_order_embedding(p, list(q.up), list(q.down), (1 << q.n) - 1, induced)
+    found = find_order_embedding(p, q.up, q.down, (1 << q.n) - 1, induced)
     return found is not None

@@ -5,26 +5,38 @@ import pytest
 
 from posetmatrix import (
     CapExceeded,
+    InvariantError,
     Poset,
+    SetFamily,
     antichain,
     best_chen_li,
     best_gmt,
     binomial_shift_check,
+    block_analyze,
     bounds_table,
     bukh_tree_coefficient,
     butterfly,
     chain,
     chen_li_bound,
+    count_partitions_with_prefix,
     diamond,
+    dimension,
     e_estimate,
+    enumerate_partitions,
     erdos_bound,
     gmt_bound,
     hasse_is_tree,
+    identity_matrix,
     induced_bound_pipeline,
     marcus_tardos_constant,
+    middle_levels,
     middle_levels_free,
+    partition_count,
+    prefix_matrix_freeness_check,
+    shifted_lubell,
     vee,
     weak_chain_coefficient,
+    wide_block_limit,
 )
 
 
@@ -35,6 +47,61 @@ def test_erdos_bound_values():
     assert erdos_bound(4, 1) == 0
     with pytest.raises(ValueError):
         erdos_bound(-1, 2)
+
+
+# int() arithmetic would read True as 1, and a float would fail deep inside
+# with a bare TypeError (or, for a block side, name a matrix side length)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chen_li_bound(diamond(), True), "integer Chen-Li parameter m: True"),
+        (lambda: chen_li_bound(diamond(), 1.5), "integer Chen-Li parameter m: 1.5"),
+        (lambda: gmt_bound(diamond(), 2.5), "integer GMT parameter k: 2.5"),
+        (lambda: erdos_bound(4.0, 2), "integer ground set size: 4.0"),
+        (lambda: erdos_bound(4, 2.5), "integer chain size: 2.5"),
+        (lambda: marcus_tardos_constant(2.0), "integer pattern size: 2.0"),
+        (lambda: binomial_shift_check(4, 1.5), "integer dimension: 1.5"),
+        (lambda: middle_levels(3, True), "integer level count: True"),
+        (lambda: middle_levels(3.0, 2), "integer ground set size: 3.0"),
+        (lambda: shifted_lubell(SetFamily(2, (1,)), True), "integer dimension: True"),
+        (lambda: shifted_lubell(SetFamily(2, (1,)), 1.5), "integer dimension: 1.5"),
+        (lambda: enumerate_partitions(2, True), "integer part count: True"),
+        (lambda: partition_count(3, 2.0), "integer part count: 2.0"),
+        (lambda: count_partitions_with_prefix(3, 2, 1.0), "integer prefix set size: 1.0"),
+        (lambda: wide_block_limit(identity_matrix(2), 1.5), "integer block side: 1.5"),
+        (
+            lambda: block_analyze(identity_matrix(4), identity_matrix(2), 1.5),
+            "integer block side: 1.5",
+        ),
+        (
+            lambda: prefix_matrix_freeness_check(diamond(), dimension(diamond())[1], 2.5, 5, 0),
+            "integer trial count: 2.5",
+        ),
+    ],
+    ids=[
+        "chen_li_bound-bool",
+        "chen_li_bound-float",
+        "gmt_bound",
+        "erdos_bound-n",
+        "erdos_bound-k",
+        "marcus_tardos_constant",
+        "binomial_shift_check",
+        "middle_levels-bool",
+        "middle_levels-float",
+        "shifted_lubell-bool",
+        "shifted_lubell-float",
+        "enumerate_partitions",
+        "partition_count",
+        "count_partitions_with_prefix",
+        "wide_block_limit",
+        "block_analyze",
+        "prefix_matrix_freeness_check",
+    ],
+)
+def test_library_integer_arguments_reject_floats_and_bools(call, message):
+    with pytest.raises(InvariantError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_weak_chain_coefficient():

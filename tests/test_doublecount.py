@@ -119,8 +119,8 @@ def test_count_formula_matches_enumeration():
             )
         # the shared count table is the same enumeration, one entry per mask
         assert prefix_union_counts(n, d) == tuple(counter.get(m, 0) for m in range(1 << n))
-    # a float d is refused as before, not served from the entry for the int
-    with pytest.raises(TypeError):
+    # a float d is refused, not served from the entry for the int
+    with pytest.raises(InvariantError, match="integer part count: 2.0"):
         prefix_union_counts(2, 2.0)
 
 

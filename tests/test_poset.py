@@ -32,7 +32,7 @@ from posetmatrix import (
     vee,
 )
 from posetmatrix.family import cube_order
-from posetmatrix.poset import load_poset_obj
+from posetmatrix.poset import _order_masks, load_poset_obj
 
 from conftest import (
     brute_covers,
@@ -100,6 +100,27 @@ def test_validation_catches_bad_orders():
         Poset(("a", "a"), (0, 0))
     with pytest.raises(InvariantError, match="table size"):
         Poset(("a", "b"), (0,))
+
+
+# tables that break several axioms: the message names the first fault met
+# walking i, then j above i in ascending order (irreflexive at i, then
+# antisymmetric and transitive at each j)
+@pytest.mark.parametrize(
+    "up, message",
+    [
+        ((0b0110, 0b1000, 0b0001, 0), "transitive: a < b but not everything above b"),
+        ((0b0110, 0b0001, 0b1000, 0), "antisymmetric: a and b below each other"),
+        ((0b010, 0b011, 0), "antisymmetric: a and b below each other"),
+        ((0b011, 0b001, 0), "irreflexive: a < itself"),
+        ((0b010, 0b101, 0), "antisymmetric: a and b below each other"),
+        ((0b00100, 0b01011, 0b00010, 0b10100, 0), "transitive: a < c but not everything above c"),
+        ((0b1100, 0b0110, 0b1000, 0b0100), "irreflexive: b < itself"),
+    ],
+)
+def test_validation_names_the_first_fault(up, message):
+    with pytest.raises(InvariantError) as exc:
+        Poset(tuple("abcde"[: len(up)]), up)
+    assert str(exc.value) == message
 
 
 # int() would read 2.5 as 2 and build a < b; True would be read as 1 and
@@ -180,10 +201,25 @@ def shuffled_posets(draw):
 ))
 def test_order_facts_match_brute_force(p):
     assert list(p.covers) == brute_covers(p)
+    assert p.down == tuple(sum(1 << i for i in range(p.n) if p.less(i, j)) for j in range(p.n))
     assert height(p) == brute_height(p)
     assert hasse_is_tree(p) == brute_hasse_is_tree(p)
     t, r = dimension(p)
     assert (t, r.extensions) == brute_dimension(p, list(linear_extensions(p)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(shuffled_posets())
+def test_each_extension_orders_each_incomparable_pair_one_way(p):
+    # so every extension covers the same number of ordered incomparable
+    # pairs, which `dimension`'s search takes for granted
+    n = p.n
+    related, incomparable, masks = _order_masks(p, list(linear_extensions(p)))
+    for m in masks:
+        assert m & related == related
+        for x, y in combinations(range(n), 2):
+            if incomparable >> x * n + y & 1:
+                assert (m >> x * n + y & 1) + (m >> y * n + x & 1) == 1
 
 
 def test_height_of_a_long_chain():
