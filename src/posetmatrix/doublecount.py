@@ -4,10 +4,8 @@ A partition splits a permutation of 1..n into d ordered runs.  Picking an
 index into each run and collecting the elements before it yields a prefix
 union; the 0-1 matrix of which index vectors land inside a set family is the
 bridge between family problems and pattern problems.  The randomized
-freeness check builds a family's inclusion tables once and runs one
-embedding search per trial: it deletes a member of each copy found by
-clearing its bit in the universe and sending the smaller universe to the
-search, which resumes where the copy was found.
+freeness check reads the n-cube's induced copies of a poset from one table
+per (n, poset), so its trials run no embedding search.
 """
 
 from __future__ import annotations
@@ -186,8 +184,8 @@ def prefix_matrix_freeness_check(
     prefix-union matrix avoiding the poset's permutation matrix.
 
     Each trial draws a random family, deletes a random member of the first
-    induced copy of p until there is none (one resumed search, see
-    `embed.order_embeddings`), draws a random partition, and tests the
+    induced copy of p until there is none (the first cube copy holding no
+    absent set, see `_cube_copies`), draws a random partition, and tests the
     matrix.
     """
     json_int(trials, "trial count")
@@ -197,20 +195,23 @@ def prefix_matrix_freeness_check(
         raise ValueError("need a realizer with at least 2 linear orders")
     pattern = realizer_to_matrix(p, r)
     rng = make_rng(seed, f"freeness:{n}:{d}")
+    copies, holding = _cube_copies(n, p)
+    total = len(copies)
+    full = (1 << total) - 1
     violations = []
     for trial in range(trials):
-        masks = tuple(m for m in range(1 << n) if rng.random() < 0.5)
-        sup, sub = inclusion_tables(masks)
-        keep = (1 << len(masks)) - 1
-        search = order_embeddings(p, sup, sub, keep, True)
-        try:
-            emb = next(search)
-            while True:
-                keep ^= 1 << rng.choice(emb)
-                emb = search.send(keep)
-        except StopIteration:
-            pass
-        fam = SetFamily(n, tuple(m for i, m in enumerate(masks) if keep >> i & 1))
+        keep = dead = 0
+        for m in range(1 << n):
+            if rng.random() < 0.5:
+                keep |= 1 << m
+            else:
+                dead |= holding[m]
+        live = full ^ dead
+        while live:
+            t = rng.choice(copies[total - live.bit_length()])
+            keep ^= 1 << t
+            live &= full ^ holding[t]
+        fam = SetFamily(n, tuple(m for m in range(1 << n) if keep >> m & 1))
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         marks = sorted(rng.sample(range(n + d - 1), d - 1))
@@ -225,6 +226,25 @@ def prefix_matrix_freeness_check(
                 }
             )
     return FreenessReport(trials, seed, violations)
+
+
+@lru_cache(maxsize=16)  # `verify counta` checks three posets at one n
+def _cube_copies(n: int, p: Poset) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The induced embeddings of p into the subsets of {1..n}, as mask
+    tuples in lexicographic order, one per automorphism orbit (a family's own
+    search has the same order and leaders, its masks being ascending); and
+    per mask, the bitset of the embeddings using it, embedding i at bit L-1-i
+    of L, so the first one left in a bitset is L - bit_length."""
+    size = 1 << n
+    sup, sub = inclusion_tables(range(size))
+    copies = tuple(order_embeddings(p, sup, sub, (1 << size) - 1, True))
+    holding = [0] * size
+    bit = 1 << len(copies)
+    for emb in copies:
+        bit >>= 1
+        for s in emb:
+            holding[s] |= bit
+    return copies, tuple(holding)
 
 
 class DoubleCountResult(NamedTuple):

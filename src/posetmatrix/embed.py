@@ -13,9 +13,7 @@ so the search yields one per automorphism orbit, the lexicographically least
 (lex-leader symmetry breaking, Crawford, Ginsberg, Luks and Roy 1996): for an
 automorphism whose least moved element is i, e is below e∘σ exactly when
 e(i) < e(σ(i)).  The pairs (i, σ(i)) come from the same search run of the
-source into itself, once per poset.  The search is also resumable: sending
-it a smaller universe after a yield drops the lost targets and backs up to
-the first element whose image was lost.
+source into itself, once per poset.
 """
 
 from __future__ import annotations
@@ -52,14 +50,6 @@ def order_embeddings(p, sup: list[int], sub: list[int], universe: int, induced: 
     orbit of p, as tuples: the lexicographically least of each orbit, in
     lexicographic order.  Every image of an embedding is the image of one
     that is yielded; in induced mode each image is yielded exactly once.
-
-    After a yield, `send(smaller)` with a subset of the universe goes on
-    inside `smaller`: the next yield is the next embedding after the current
-    one that lies in it.  When every earlier embedding holds a target
-    outside `smaller`, as when the caller drops a target of each one it is
-    given, that is the first embedding into `smaller`, the one
-    `find_order_embedding` returns.  The degree filter stays the one built
-    for the first universe: weaker than a fresh one, but still valid.
     """
     if universe.bit_count() < p.n:
         return iter(())
@@ -95,8 +85,7 @@ def _orbit_cuts(up: tuple[int, ...], down: tuple[int, ...]) -> tuple[tuple[int, 
 def _search(up, down, sup, sub, allowed: list[int], induced: bool, after):
     """The embeddings of the source (tables up, down) into the targets,
     element x going into allowed[x] and above the image of every element of
-    after[x], in lexicographic order; resumable as `order_embeddings` says.
-    `allowed` is updated in place."""
+    after[x], in lexicographic order."""
     k = len(up)
     if k == 0:
         yield ()
@@ -137,19 +126,7 @@ def _search(up, down, sup, sub, allowed: list[int], induced: bool, after):
         left[x] = cand ^ low
         assign[x] = low.bit_length() - 1
         if x == last:
-            universe = yield tuple(assign)
-            if universe is not None:
-                # every embedding sharing assign[:y + 1] with this one holds
-                # the lost target assign[y]: back up to the first such y
-                for y in range(k):
-                    allowed[y] &= universe
-                    left[y] &= universe
-                y = 0
-                while y < x and universe >> assign[y] & 1:
-                    y += 1
-                while x > y:
-                    x -= 1
-                    used ^= 1 << assign[x]
+            yield tuple(assign)
         else:
             used |= low
             x += 1

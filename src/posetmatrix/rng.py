@@ -10,8 +10,11 @@ from __future__ import annotations
 import hashlib
 import random
 
+from .errors import json_int
+
 
 def derive_seed(seed: int, tag: str) -> int:
+    json_int(seed, "seed")  # "0.0:tag" would name another stream than seed 0
     digest = hashlib.sha256(f"{seed}:{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

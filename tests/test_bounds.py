@@ -19,6 +19,7 @@ from posetmatrix import (
     chain,
     chen_li_bound,
     count_partitions_with_prefix,
+    derive_seed,
     diamond,
     dimension,
     e_estimate,
@@ -28,6 +29,7 @@ from posetmatrix import (
     hasse_is_tree,
     identity_matrix,
     induced_bound_pipeline,
+    make_rng,
     marcus_tardos_constant,
     middle_levels,
     middle_levels_free,
@@ -77,6 +79,14 @@ def test_erdos_bound_values():
             lambda: prefix_matrix_freeness_check(diamond(), dimension(diamond())[1], 2.5, 5, 0),
             "integer trial count: 2.5",
         ),
+        # "0.0:tag" and "True:tag" hash to other streams than seeds 0 and 1
+        (lambda: make_rng(0.0, "tag"), "integer seed: 0.0"),
+        (lambda: make_rng(True, "tag"), "integer seed: True"),
+        (lambda: derive_seed(1.0, "tag"), "integer seed: 1.0"),
+        (
+            lambda: prefix_matrix_freeness_check(diamond(), dimension(diamond())[1], 2, 5, 0.0),
+            "integer seed: 0.0",
+        ),
     ],
     ids=[
         "chen_li_bound-bool",
@@ -96,6 +106,10 @@ def test_erdos_bound_values():
         "wide_block_limit",
         "block_analyze",
         "prefix_matrix_freeness_check",
+        "make_rng-float",
+        "make_rng-bool",
+        "derive_seed",
+        "prefix_matrix_freeness_check-seed",
     ],
 )
 def test_library_integer_arguments_reject_floats_and_bools(call, message):

@@ -292,8 +292,8 @@ def test_verify_all_frozen_bytes(capsys):
     ],
 )
 def test_verify_counta_frozen_bytes(capsys, seed, digest):
-    # each deletion draws from the copy the search returns, so a resumed
-    # search that returned another copy would change these bytes
+    # each deletion draws from the first live copy of the cube's table, so a
+    # table that gave another first copy would change these bytes
     code, out, err = invoke(capsys, "--no-cache", "--seed", seed, "verify", "counta", "--trials", "334")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ from posetmatrix import (
     CapExceeded,
     InvariantError,
     PermutationPartition,
+    Poset,
     SetFamily,
     all_prefix_union_masks,
     builtin,
@@ -227,7 +228,8 @@ def _delete_and_rebuild(p, d, trials, n, seed):
     return out, drops
 
 
-def test_freeness_check_matches_delete_and_rebuild(monkeypatch):
+def _record_matrices(monkeypatch) -> list:
+    """The (partition, family) pairs the freeness check tests, as it goes."""
     seen = []
 
     def record(q, fam):
@@ -235,15 +237,58 @@ def test_freeness_check_matches_delete_and_rebuild(monkeypatch):
         return prefix_union_matrix(q, fam)
 
     monkeypatch.setattr(doublecount, "prefix_union_matrix", record)
+    return seen
+
+
+def test_freeness_check_matches_delete_and_rebuild(monkeypatch):
+    seen = _record_matrices(monkeypatch)
     drops = 0
-    for name in ("diamond", "vee:2", "butterfly"):
+    for name in ("diamond", "vee:2", "butterfly", "antichain:2"):
         p = builtin(name)
         _, realizer = dimension(p)
-        for n in (4, 5):
-            for seed in range(4):
+        for n in (3, 4, 5, 6):
+            for seed in (0, 1, 3, 7, 11):
                 seen.clear()
                 prefix_matrix_freeness_check(p, realizer, 6, n=n, seed=seed)
                 want, dropped = _delete_and_rebuild(p, realizer.order_count, 6, n, seed)
                 assert seen == want, (name, n, seed)
                 drops += dropped
     assert drops > 0
+
+
+@pytest.mark.parametrize("name", ["diamond", "vee:2", "butterfly", "antichain:2"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cube_copies_holding_matches_copies(name, n):
+    p = builtin(name)
+    copies, holding = doublecount._cube_copies(n, p)
+    total = len(copies)
+    assert list(copies) == sorted(set(copies))
+    assert len(holding) == 1 << n
+    for i, emb in enumerate(copies):
+        bit = 1 << total - 1 - i
+        assert [s for s in range(1 << n) if holding[s] & bit] == sorted(emb)
+    assert all(h >> total == 0 for h in holding)
+    # one copy per induced image, each an induced copy of p
+    assert len({frozenset(emb) for emb in copies}) == total
+    for emb in copies:
+        fam = SetFamily(n, tuple(sorted(emb)))
+        assert find_embedding(fam, p, induced=True) is not None
+
+
+def test_freeness_check_memo_keeps_no_state(monkeypatch):
+    seen = _record_matrices(monkeypatch)
+    p = diamond()
+    _, realizer = dimension(p)
+    labels = p.elements
+    pairs = [(labels[i], labels[j]) for i in range(p.n) for j in range(p.n) if p.up[i] >> j & 1]
+    copy = Poset.from_pairs(labels, pairs)
+    assert copy == p and copy is not p
+    doublecount._cube_copies.cache_clear()
+    runs = []
+    for q in (p, p, copy):
+        seen.clear()
+        report = prefix_matrix_freeness_check(q, realizer, 40, n=5, seed=3)
+        runs.append((report, list(seen)))
+    assert doublecount._cube_copies.cache_info().hits == 2
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1] == _delete_and_rebuild(p, 2, 40, 5, 3)[0]
