@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded, InvariantError, json_int
 from .embed import order_embeddings
-from .family import SetFamily, elements, inclusion_tables
+from .family import SetFamily, elements
 from .hypermatrix import HyperMatrix, contains
 from .poset import Poset, Realizer, realizer_to_matrix
 from .rng import make_rng
@@ -236,8 +236,7 @@ def _cube_copies(n: int, p: Poset) -> tuple[tuple[tuple[int, ...], ...], tuple[i
     per mask, the bitset of the embeddings using it, embedding i at bit L-1-i
     of L, so the first one left in a bitset is L - bit_length."""
     size = 1 << n
-    sup, sub = inclusion_tables(range(size))
-    copies = tuple(order_embeddings(p, sup, sub, (1 << size) - 1, True))
+    copies = tuple(order_embeddings(p, range(size), True))
     holding = [0] * size
     bit = 1 << len(copies)
     for emb in copies:

@@ -2,11 +2,13 @@
 embedding, by the enumeration of every copy of a poset in the cube, and by
 the census of 2-dim patterns ordering like a poset.
 
-The target side is abstract: indices 0..T-1 with bitmask tables sup[t] / sub[t]
-listing the targets strictly above / below t.  The source is a poset-like
-object exposing n and its up and down bitmasks.  Weak mode preserves
-relations one way (x < y forces image above image); induced mode preserves
-both relations and incomparabilities.
+The targets are distinct sets under inclusion, given as bitmasks: a family,
+the n-cube, the cells of a grid as unions of unary codes, or the principal
+down-sets of a poset.  `inclusion_tables` turns them into the bitmask tables
+sup[t] / sub[t] of the targets strictly above / below t, which the search
+reads.  The source is a poset-like object exposing n and its up and down
+bitmasks.  Weak mode preserves relations one way (x < y forces image above
+image); induced mode preserves both relations and incomparabilities.
 
 Embeddings that differ by an automorphism of the source have the same image,
 so the search yields one per automorphism orbit, the lexicographically least
@@ -21,18 +23,48 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def degree_filter(p, sup: list[int], sub: list[int], universe: int) -> list[int]:
-    """For each source element x, the bitmask of targets in `universe` whose
-    up/down degrees inside `universe` can accommodate x.
+def inclusion_tables(masks):
+    """sup[i] / sub[i]: bitsets of the members strictly above / below member
+    i under inclusion (masks distinct).  With holds[e] the members holding
+    element e, i's supersets are in holds[e] for every e in i, and its
+    subsets in holds[e] for no e outside i: O(k·n) big-int operations."""
+    full = (1 << len(masks)) - 1
+    holds = [0] * max(masks, default=0).bit_length()
+    bit = 1
+    for m in masks:
+        e = 0
+        while m:
+            if m & 1:
+                holds[e] |= bit
+            m >>= 1
+            e += 1
+        bit <<= 1
+    sup = []
+    sub = []
+    bit = 1
+    for m in masks:
+        above, outside = full, 0
+        for members in holds:
+            if m & 1:
+                above &= members
+            else:
+                outside |= members
+            m >>= 1
+        # member i is in `above` and not in `outside`: the XORs drop it
+        sup.append(above ^ bit)
+        sub.append(full ^ outside ^ bit)
+        bit <<= 1
+    return sup, sub
 
-    Valid for both modes: any embedding into `universe` maps the up-set of x
-    injectively into the up-set of its image there, and likewise below.
+
+def degree_filter(p, sup: list[int], sub: list[int]) -> list[int]:
+    """For each source element x, the bitmask of targets whose up/down
+    degrees can accommodate x.
+
+    Valid for both modes: any embedding maps the up-set of x injectively
+    into the up-set of its image, and likewise below.
     """
-    degrees = [  # (target bit, up degree, down degree) inside universe
-        (1 << t, (sup[t] & universe).bit_count(), (sub[t] & universe).bit_count())
-        for t in range(len(sup))
-        if universe >> t & 1
-    ]
+    degrees = [(1 << t, sup[t].bit_count(), sub[t].bit_count()) for t in range(len(sup))]
     out = []
     for x in range(p.n):
         need_up = p.up[x].bit_count()
@@ -45,16 +77,18 @@ def degree_filter(p, sup: list[int], sub: list[int], universe: int) -> list[int]
     return out
 
 
-def order_embeddings(p, sup: list[int], sub: list[int], universe: int, induced: bool):
-    """One embedding of p into the targets of `universe` per automorphism
-    orbit of p, as tuples: the lexicographically least of each orbit, in
-    lexicographic order.  Every image of an embedding is the image of one
-    that is yielded; in induced mode each image is yielded exactly once.
+def order_embeddings(p, targets, induced: bool):
+    """One embedding of p into the targets (distinct bitmasks, ordered by
+    inclusion) per automorphism orbit of p, as tuples of target indices: the
+    lexicographically least of each orbit, in lexicographic order.  Every
+    image of an embedding is the image of one that is yielded; in induced
+    mode each image is yielded exactly once.
     """
-    if universe.bit_count() < p.n:
+    if len(targets) < p.n:
         return iter(())
+    sup, sub = inclusion_tables(targets)
     up, down = tuple(p.up), tuple(p.down)
-    allowed = degree_filter(p, sup, sub, universe)
+    allowed = degree_filter(p, sup, sub)
     return _search(up, down, sup, sub, allowed, induced, _orbit_cuts(up, down))
 
 
@@ -133,9 +167,7 @@ def _search(up, down, sup, sub, allowed: list[int], induced: bool, after):
             left[x] = candidates(x, used)
 
 
-def find_order_embedding(
-    p, sup: list[int], sub: list[int], universe: int, induced: bool
-) -> tuple[int, ...] | None:
-    """First embedding of p into the targets of `universe`, or None: the
-    first of `order_embeddings`, so the witness is deterministic."""
-    return next(order_embeddings(p, sup, sub, universe, induced), None)
+def find_order_embedding(p, targets, induced: bool) -> tuple[int, ...] | None:
+    """First embedding of p into the targets, or None: the first of
+    `order_embeddings`, so the witness is deterministic."""
+    return next(order_embeddings(p, targets, induced), None)

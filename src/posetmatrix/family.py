@@ -2,9 +2,9 @@
 
 Sets are bitmasks (bit i-1 = element i).  A family keeps insertion order so
 witnesses round-trip byte-identically, but equality of content is what the
-containment routines care about.  `inclusion_tables` is the one builder of
-the inclusion order: containment, the copies of a poset in the cube and
-`poset.boolean_lattice` all read it.
+containment routines care about.  Containment and the copies of a poset in
+the cube hand their sets to the embedder as they are: its targets are sets
+under inclusion.
 """
 
 from __future__ import annotations
@@ -78,47 +78,12 @@ def load_family(path) -> SetFamily:
     return load_json_file(path, "family", load_family_obj)
 
 
-def inclusion_tables(masks):
-    """sup[i] / sub[i]: bitsets of the members strictly above / below member
-    i under inclusion (masks distinct).  With holds[e] the members holding
-    element e, i's supersets are in holds[e] for every e in i, and its
-    subsets in holds[e] for no e outside i: O(k·n) big-int operations."""
-    full = (1 << len(masks)) - 1
-    holds = [0] * max(masks, default=0).bit_length()
-    bit = 1
-    for m in masks:
-        e = 0
-        while m:
-            if m & 1:
-                holds[e] |= bit
-            m >>= 1
-            e += 1
-        bit <<= 1
-    sup = []
-    sub = []
-    bit = 1
-    for m in masks:
-        above, outside = full, 0
-        for members in holds:
-            if m & 1:
-                above &= members
-            else:
-                outside |= members
-            m >>= 1
-        # member i is in `above` and not in `outside`: the XORs drop it
-        sup.append(above ^ bit)
-        sub.append(full ^ outside ^ bit)
-        bit <<= 1
-    return sup, sub
-
-
 def find_embedding(fam: SetFamily, p, induced: bool):
     """An injection of poset p into the family (subset order), or None.
 
     induced=True also forbids extra inclusions between image sets.
     """
-    sup, sub = inclusion_tables(fam.masks)
-    return find_order_embedding(p, sup, sub, (1 << fam.size) - 1, induced)
+    return find_order_embedding(p, fam.masks, induced)
 
 
 def family_contains(fam: SetFamily, p, induced: bool) -> bool:
@@ -159,8 +124,7 @@ def occurrence_masks(n: int, p, induced: bool) -> list[int]:
     image, which is kept once.  The masks come sorted, hence grouped by
     highest set.
     """
-    sup, sub = inclusion_tables(cube_order(n))
-    embeddings = order_embeddings(p, sup, sub, (1 << len(sup)) - 1, induced)
+    embeddings = order_embeddings(p, cube_order(n), induced)
     return sorted({sum(1 << t for t in image) for image in embeddings})
 
 

@@ -193,7 +193,7 @@ def projection(m: HyperMatrix, axis: int) -> HyperMatrix:
     """Delete coordinate `axis` (1-based) from every 1; duplicates collapse."""
     if m.d < 2:
         raise ValueError("projection needs dimension >= 2")
-    if not 1 <= axis <= m.d:
+    if not 1 <= json_int(axis, "axis") <= m.d:
         raise ValueError(f"axis {axis} out of range 1..{m.d}")
     j = axis - 1
     dims = m.dims[:j] + m.dims[j + 1 :]
@@ -245,7 +245,7 @@ class BlockReport:
 
         Blockcolumns are keyed by the block coordinate with `axis` deleted.
         """
-        if not 1 <= axis <= len(self.grid):
+        if not 1 <= json_int(axis, "axis") <= len(self.grid):
             raise ValueError(f"axis {axis} out of range")
         counts: dict[Coord, int] = {}
         for b, axes in self.wide.items():

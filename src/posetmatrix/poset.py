@@ -13,9 +13,9 @@ from functools import cached_property, reduce
 from itertools import count
 from operator import or_
 
-from .embed import find_order_embedding, order_embeddings
+from .embed import find_order_embedding, inclusion_tables, order_embeddings
 from .errors import CapExceeded, InvariantError, json_int, load_json_file
-from .family import cube_order, elements, inclusion_tables
+from .family import cube_order, elements
 from .hypermatrix import HyperMatrix, all_cells
 
 
@@ -367,6 +367,13 @@ def realizer_to_matrix(p: Poset, r: Realizer) -> HyperMatrix:
 # --- order patterns --------------------------------------------------------
 
 
+def _unary_codes(dims, coords) -> list[int]:
+    """Each coordinate as a set: value v on an axis is the lowest v bits of
+    that axis's block of bits, so coordinatewise dominance is inclusion."""
+    offsets = [sum(dims[:j]) for j in range(len(dims))]
+    return [sum(((1 << v) - 1) << at for v, at in zip(c, offsets)) for c in coords]
+
+
 def pattern_order(m: HyperMatrix) -> Poset:
     """Order of the 1s of a matrix under componentwise dominance.
 
@@ -375,14 +382,7 @@ def pattern_order(m: HyperMatrix) -> Poset:
     this order and its incomparabilities exactly.
     """
     labels = tuple(",".join(map(str, o)) for o in m.ones)
-    up = []
-    for a in m.ones:
-        mask = 0
-        for j, b in enumerate(m.ones):
-            if a != b and all(x <= y for x, y in zip(a, b)):
-                mask |= 1 << j
-        up.append(mask)
-    return Poset(labels, tuple(up))
+    return Poset(labels, tuple(inclusion_tables(_unary_codes(m.dims, m.ones))[0]))
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:
@@ -409,14 +409,13 @@ def enumerate_patterns(p: Poset, d: int = 2) -> list[HyperMatrix]:
     enumerated once, in that grid, and each such copy is kept as an r x c
     pattern.  Deterministic order: by (rows, cols), then by 1-set.
     """
-    if d != 2:
+    if json_int(d, "dimension") != 2:
         raise ValueError("pattern enumeration is only supported in 2 dimensions")
     m = p.n
     if m == 0 or m > 6:
         raise ValueError("pattern enumeration supports 1..6 elements")
     cells = all_cells((m, m))
-    grid = pattern_order(HyperMatrix((m, m), cells))
-    embeddings = order_embeddings(p, grid.up, grid.down, (1 << len(cells)) - 1, True)
+    embeddings = order_embeddings(p, _unary_codes((m, m), cells), True)
     found = []
     # each induced copy comes once, and cells come in lexicographic order,
     # so sorted images are sorted 1-sets
@@ -430,7 +429,6 @@ def enumerate_patterns(p: Poset, d: int = 2) -> list[HyperMatrix]:
 
 def subposet_embeds(p: Poset, q: Poset, induced: bool) -> bool:
     """Whether p embeds into q (order-preserving; both ways when induced)."""
-    if p.n > q.n:
-        return False
-    found = find_order_embedding(p, q.up, q.down, (1 << q.n) - 1, induced)
-    return found is not None
+    # x <= y in q exactly when x's principal down-set lies inside y's
+    down_sets = [q.down[x] | 1 << x for x in range(q.n)]
+    return find_order_embedding(p, down_sets, induced) is not None

@@ -24,6 +24,7 @@ from posetmatrix import (
     dimension,
     e_estimate,
     enumerate_partitions,
+    enumerate_patterns,
     erdos_bound,
     gmt_bound,
     hasse_is_tree,
@@ -35,6 +36,7 @@ from posetmatrix import (
     middle_levels_free,
     partition_count,
     prefix_matrix_freeness_check,
+    projection,
     shifted_lubell,
     vee,
     weak_chain_coefficient,
@@ -87,6 +89,18 @@ def test_erdos_bound_values():
             lambda: prefix_matrix_freeness_check(diamond(), dimension(diamond())[1], 2, 5, 0.0),
             "integer seed: 0.0",
         ),
+        # 2.0 == 2 and True == 1 would pass the range checks as the integers
+        (lambda: enumerate_patterns(diamond(), 2.0), "integer dimension: 2.0"),
+        (lambda: projection(identity_matrix(3), True), "integer axis: True"),
+        (lambda: projection(identity_matrix(3), 1.0), "integer axis: 1.0"),
+        (
+            lambda: block_analyze(identity_matrix(4), identity_matrix(2), 2).wide_count(True),
+            "integer axis: True",
+        ),
+        (
+            lambda: block_analyze(identity_matrix(4), identity_matrix(2), 2).wide_count(1.0),
+            "integer axis: 1.0",
+        ),
     ],
     ids=[
         "chen_li_bound-bool",
@@ -110,6 +124,11 @@ def test_erdos_bound_values():
         "make_rng-bool",
         "derive_seed",
         "prefix_matrix_freeness_check-seed",
+        "enumerate_patterns",
+        "projection-bool",
+        "projection-float",
+        "wide_count-bool",
+        "wide_count-float",
     ],
 )
 def test_library_integer_arguments_reject_floats_and_bools(call, message):

@@ -32,7 +32,9 @@ from posetmatrix import (
     vee,
 )
 from posetmatrix.family import cube_order
+from posetmatrix.hypermatrix import all_cells
 from posetmatrix.poset import _order_masks, load_poset_obj
+from posetmatrix.rng import make_rng
 
 from conftest import (
     brute_covers,
@@ -361,6 +363,20 @@ def test_pattern_order_uses_componentwise_dominance():
     assert is_isomorphic(
         pattern_order(HyperMatrix((2, 2), ((1, 2), (2, 1)))), antichain(2)
     )
+
+
+def test_pattern_order_matches_pairwise_dominance():
+    # the definition pair by pair: a is below b when no coordinate decreases
+    rng = make_rng(5, "poset:pattern-order")
+    for _ in range(400):
+        dims = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
+        cells = all_cells(dims)
+        m = HyperMatrix(dims, rng.sample(cells, rng.randint(0, min(len(cells), 30))))
+        up = tuple(
+            sum(1 << j for j, b in enumerate(m.ones) if a != b and all(x <= y for x, y in zip(a, b)))
+            for a in m.ones
+        )
+        assert pattern_order(m).up == up, m
 
 
 def test_realizer_matrix_order_matches_poset():
