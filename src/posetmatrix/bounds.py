@@ -141,7 +141,7 @@ def _pattern_side_cap(d: int) -> int:
     return min(4, n)
 
 
-def induced_bound_pipeline(p: Poset, *, cache=None) -> dict:
+def induced_bound_pipeline(p: Poset) -> dict:
     """Middle-binomial induced-bound coefficients via the poset's permutation
     matrix: its dimension d, then per source of a density constant K for the
     matrix, the realizer, the matrix, K and the transfer coefficients 2^d K
@@ -171,7 +171,7 @@ def induced_bound_pipeline(p: Poset, *, cache=None) -> dict:
 
     n_hi = _pattern_side_cap(d)
     k_exact = max(
-        Fraction(ex_exact((n,) * d, [pattern], cache=cache).value, n ** (d - 1))
+        Fraction(ex_exact((n,) * d, [pattern]).value, n ** (d - 1))
         for n in range(1, n_hi + 1)
     )
     out = {
@@ -183,7 +183,7 @@ def induced_bound_pipeline(p: Poset, *, cache=None) -> dict:
     return out
 
 
-def bounds_table(p: Poset, *, cache=None) -> dict:
+def bounds_table(p: Poset) -> dict:
     """All bound coefficients for one poset, JSON-ready, exact strings."""
     if p.n == 0:
         raise ValueError("empty poset")
@@ -214,7 +214,7 @@ def bounds_table(p: Poset, *, cache=None) -> dict:
     else:
         table["bukh_tree"] = {"applies": False}
     try:
-        table["induced_pipeline"] = {"available": True, **induced_bound_pipeline(p, cache=cache)}
+        table["induced_pipeline"] = {"available": True, **induced_bound_pipeline(p)}
     except (ValueError, CapExceeded) as exc:
         table["induced_pipeline"] = {"available": False, "reason": str(exc)}
     if is_isomorphic(p, diamond()):

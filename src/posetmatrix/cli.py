@@ -38,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and forbidden 0-1 patterns",
     )
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--cache-dir", default=None, help="result cache directory")
-    parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
+    parser.add_argument("--cache-dir", default=None, help="ex and la result cache directory (verify and bounds always search)")
+    parser.add_argument("--no-cache", action="store_true", help="disable the ex and la result cache (verify and bounds never use it)")
     parser.add_argument(
         "--cap-override",
         action="store_true",
@@ -232,7 +232,7 @@ def _cmd_lubell(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    return bounds_table(load_poset(args.poset), cache=_cache(args))
+    return bounds_table(load_poset(args.poset))
 
 
 def _cmd_verify(args) -> dict:
@@ -243,13 +243,12 @@ def _cmd_verify(args) -> dict:
     alone = args.check != "all"
     if alone and args.trials is not None and CHECKS[args.check][1] is None:
         raise ValueError(f"verify {args.check} takes no --trials")
-    cache = _cache(args)
     checks = {}
     for name in [args.check] if alone else CHECKS:
         runner, default_alone, default_all = CHECKS[name]
         default = default_alone if alone else default_all
         trials = default if args.trials is None or default is None else args.trials
-        checks[name] = runner(trials, args.seed, cache, args.cap_override)
+        checks[name] = runner(trials, args.seed, args.cap_override)
     if alone:
         return {"schema": 1, "seed": args.seed, **checks[args.check]}
     ok = all(c["ok"] for c in checks.values())

@@ -93,7 +93,7 @@ def family_contains(fam: SetFamily, p, induced: bool) -> bool:
 def cube_order(n: int) -> list[int]:
     """Every subset of {1..n} as a mask, smaller sets first, then by mask
     value: the order in which `la_exact` decides the sets."""
-    return sorted(range(1 << n), key=lambda s: (s.bit_count(), s))
+    return sorted(range(1 << json_int(n, "ground set size")), key=lambda s: (s.bit_count(), s))
 
 
 def cube_swaps(n: int) -> list[list[int]]:

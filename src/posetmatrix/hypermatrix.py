@@ -52,7 +52,7 @@ class HyperMatrix:
         return frozenset(self.ones)
 
     def cell(self, coord) -> int:
-        return 1 if tuple(coord) in self.ones_set else 0
+        return 1 if tuple(json_int(c, "matrix coordinate") for c in coord) in self.ones_set else 0
 
     def to_obj(self) -> dict:
         return {"dims": list(self.dims), "ones": [list(o) for o in self.ones]}

@@ -1,10 +1,11 @@
 """The `verify` self-checks: the paper's lemmas tested on exhaustive small
 cases and on seeded random instances.
 
-Every check is a runner `(trials, seed, cache, cap_override) -> dict` whose
+Every check is a runner `(trials, seed, cap_override) -> dict` whose
 result carries an "ok" field.  `CHECKS` registers each under its command
 line name with its default trial counts, run alone and under `verify all`;
-a check without trials has None there and ignores the argument.
+a check without trials has None there and ignores the argument.  No
+runner reads or writes the result cache: each runs its own searches.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .poset import dimension, load_poset
 from .rng import make_rng
 
 
-def _prefix_count_formula(trials, seed, cache, cap_override) -> dict:
+def _prefix_count_formula(trials, seed, cap_override) -> dict:
     """Exhaustive check of the fixed-prefix partition count formula."""
     failures = []
     for n in range(0, 5):
@@ -44,7 +45,7 @@ def _prefix_count_formula(trials, seed, cache, cap_override) -> dict:
     return {"check": "prefix-count-formula", "ok": not failures, "failures": failures[:5]}
 
 
-def _prefix_matrix_freeness(trials, seed, cache, cap_override) -> dict:
+def _prefix_matrix_freeness(trials, seed, cap_override) -> dict:
     """Randomized: matrices of induced-free families avoid the poset matrix."""
     runs = []
     ok = True
@@ -64,7 +65,7 @@ def _prefix_matrix_freeness(trials, seed, cache, cap_override) -> dict:
     return {"check": "prefix-matrix-freeness", "ok": ok, "runs": runs}
 
 
-def _double_count(trials, seed, cache, cap_override) -> dict:
+def _double_count(trials, seed, cap_override) -> dict:
     """Pair counts by formula vs enumeration: exhaustive small, random larger."""
     failures = []
     for n in range(0, 4):
@@ -90,7 +91,7 @@ def _double_count(trials, seed, cache, cap_override) -> dict:
     }
 
 
-def _projection_product(trials, seed, cache, cap_override) -> dict:
+def _projection_product(trials, seed, cap_override) -> dict:
     """Random 3-dim matrices satisfy the projection product inequality."""
     rng = make_rng(seed, "verify:lw")
     dims = (6, 6, 6)
@@ -110,7 +111,7 @@ def _projection_product(trials, seed, cache, cap_override) -> dict:
     }
 
 
-def _block_decomposition(trials, seed, cache, cap_override) -> dict:
+def _block_decomposition(trials, seed, cap_override) -> dict:
     """Random pattern-free hosts: wide-block counts under the cap, coarse
     matrix still free."""
     rng = make_rng(seed, "verify:blocks")
@@ -148,26 +149,26 @@ def _block_decomposition(trials, seed, cache, cap_override) -> dict:
     }
 
 
-def _density_constant(trials, seed, cache, cap_override) -> dict:
+def _density_constant(trials, seed, cap_override) -> dict:
     """Exact grid values against the linear density bound for the 2x2 diagonal."""
     pattern = identity_matrix(2)
     rows = []
     ok = True
     for n in range(1, 6):
-        value = ex_exact((n, n), [pattern], cache=cache).value
+        value = ex_exact((n, n), [pattern]).value
         bound = 192 * n
         rows.append({"n": n, "value": value, "bound": bound})
         ok = ok and value <= bound
     return {"check": "density-constant", "ok": ok, "values": rows}
 
 
-def _diamond_pattern_set(trials, seed, cache, cap_override) -> dict:
+def _diamond_pattern_set(trials, seed, cap_override) -> dict:
     """Forbidding all diamond-ordered patterns keeps grids at 4n ones."""
     top = 4 if cap_override else 3
     rows = []
     ok = True
     for n in range(1, top + 1):
-        res = tardos_diamond_check(n, cache=cache)
+        res = tardos_diamond_check(n)
         rows.append({"n": n, "value": res.value, "bound": res.bound})
         ok = ok and res.holds
     return {"check": "diamond-pattern-set", "ok": ok, "values": rows}

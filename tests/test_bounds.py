@@ -42,6 +42,7 @@ from posetmatrix import (
     weak_chain_coefficient,
     wide_block_limit,
 )
+from posetmatrix.family import cube_order, cube_swaps, occurrence_masks
 
 
 def test_erdos_bound_values():
@@ -101,6 +102,13 @@ def test_erdos_bound_values():
             lambda: block_analyze(identity_matrix(4), identity_matrix(2), 2).wide_count(1.0),
             "integer axis: 1.0",
         ),
+        (lambda: cube_order(True), "integer ground set size: True"),
+        (lambda: cube_order(3.0), "integer ground set size: 3.0"),
+        (lambda: cube_swaps(True), "integer ground set size: True"),
+        (lambda: occurrence_masks(True, chain(2), False), "integer ground set size: True"),
+        (lambda: identity_matrix(3).cell((True, True)), "integer matrix coordinate: True"),
+        (lambda: identity_matrix(3).cell((1.0, 1)), "integer matrix coordinate: 1.0"),
+        (lambda: identity_matrix(3).cell((1.5, 1)), "integer matrix coordinate: 1.5"),
     ],
     ids=[
         "chen_li_bound-bool",
@@ -129,6 +137,13 @@ def test_erdos_bound_values():
         "projection-float",
         "wide_count-bool",
         "wide_count-float",
+        "cube_order-bool",
+        "cube_order-float",
+        "cube_swaps",
+        "occurrence_masks",
+        "cell-bool",
+        "cell-float",
+        "cell-non-integer",
     ],
 )
 def test_library_integer_arguments_reject_floats_and_bools(call, message):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from posetmatrix import dump_matrix, identity_matrix
+from posetmatrix import diamond, dimension, dump_matrix, ex_exact, identity_matrix, realizer_to_matrix
+from posetmatrix.cache import ResultCache
 from posetmatrix.cli import run
 from posetmatrix.verify import CHECKS
 
@@ -206,6 +207,38 @@ def test_failed_cache_recheck_is_a_miss(tmp_path, capsys):
         entry.unlink()
 
 
+def forge_short_entry(root, dims, pattern):
+    """Cache ex_exact(dims, [pattern]) under root, then drop the last 1 of
+    the stored witness: still free, so the cache's re-check accepts it, but
+    one below the optimum."""
+    ex_exact(dims, [pattern], cache=ResultCache(root))
+    [entry] = root.glob("*.json")
+    record = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(record, value=record["value"] - 1, witness=record["witness"][:-1])))
+
+
+def test_verify_ignores_a_suboptimal_cache_entry(tmp_path, capsys):
+    # the forged 5x5 witness is row 1 plus column 1 down to row 4: 8 ones
+    forge_short_entry(tmp_path / "cache", (5, 5), identity_matrix(2))
+    obj = invoke_json(capsys, "--cache-dir", str(tmp_path / "cache"), "verify", "mt")
+    assert obj["values"][-1] == {"n": 5, "value": 9, "bound": 960}
+
+
+def test_bounds_ignores_a_suboptimal_cache_entry(tmp_path, capsys):
+    # K is the max of ex/n over n <= 4, reached at n=4 with 15 ones
+    p = diamond()
+    forge_short_entry(tmp_path / "cache", (4, 4), realizer_to_matrix(p, dimension(p)[1]))
+    obj = invoke_json(capsys, "--cache-dir", str(tmp_path / "cache"), "bounds", "--poset", "diamond")
+    assert obj["induced_pipeline"]["exact"]["K"] == "15/4"
+
+
+def test_verify_and_bounds_write_no_cache(tmp_path, capsys):
+    root = str(tmp_path / "cache")
+    for argv in (["verify", "all"], ["bounds", "--poset", "diamond"]):
+        invoke_json(capsys, "--cache-dir", root, *argv)
+        assert not (tmp_path / "cache").exists(), argv
+
+
 def test_tsv_format(capsys):
     code, out, err = invoke(capsys, "--format", "tsv", "poset", "info", "chain:2")
     assert code == 0
@@ -309,7 +342,7 @@ def test_verify_default_trials(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    def failing(trials, seed, cache, cap_override):
+    def failing(trials, seed, cap_override):
         return {"check": "forced", "ok": False}
 
     monkeypatch.setitem(CHECKS, "mt", (failing, None, None))
