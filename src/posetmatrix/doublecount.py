@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .errors import CapExceeded, InvariantError, json_int
 from .embed import order_embeddings
 from .family import SetFamily, elements
-from .hypermatrix import HyperMatrix, contains
+from .hypermatrix import HyperMatrix, _match
 from .poset import Poset, Realizer, realizer_to_matrix
 from .rng import make_rng
 
@@ -78,7 +78,7 @@ def prefix_union(q: PermutationPartition, idx) -> frozenset[int]:
     if len(idx) != q.d:
         raise ValueError(f"index vector has {len(idx)} entries for {q.d} parts")
     union = 0
-    for row, i in zip(_prefix_mask_lists(q), idx):
+    for row, i in zip(_prefix_mask_lists(q.parts), idx):
         if i < 1 or i > len(row):
             raise ValueError(f"index {i} out of range 1..{len(row)}")
         union |= row[i - 1]
@@ -101,14 +101,13 @@ def enumerate_partitions(n: int, d: int):
         raise CapExceeded(f"{total} partitions exceeds the enumeration cap ({PARTITION_CAP})")
     cut_tuples = list(combinations_with_replacement(range(n + 1), d - 1))
     perms = permutations(range(1, n + 1))
-    return (_split(perm, cuts) for perm in perms for cuts in cut_tuples)
+    return (PermutationPartition(n, _runs(perm, cuts)) for perm in perms for cuts in cut_tuples)
 
 
-def _split(perm, cuts) -> PermutationPartition:
+def _runs(perm, cuts) -> tuple[tuple[int, ...], ...]:
     """perm cut into runs before each position in the ascending cuts."""
     bounds = (0, *cuts, len(perm))
-    runs = tuple(tuple(perm[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return PermutationPartition(len(perm), runs)
+    return tuple(tuple(perm[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def count_partitions_with_prefix(n: int, d: int, f: int) -> int:
@@ -125,10 +124,10 @@ def count_partitions_with_prefix(n: int, d: int, f: int) -> int:
     )
 
 
-def _prefix_mask_lists(q: PermutationPartition) -> list[list[int]]:
+def _prefix_mask_lists(parts) -> list[list[int]]:
     """Per part, the masks of its first 0, 1, .., len(part) entries."""
     lists = []
-    for part in q.parts:
+    for part in parts:
         acc = 0
         row = [0]
         for x in part:
@@ -138,16 +137,16 @@ def _prefix_mask_lists(q: PermutationPartition) -> list[list[int]]:
     return lists
 
 
-def _prefix_unions(q: PermutationPartition) -> list[int]:
+def _prefix_unions(parts) -> list[int]:
     """Each index vector's prefix union as a mask, vectors in lexicographic order."""
     unions = [0]
-    for row in _prefix_mask_lists(q):
+    for row in _prefix_mask_lists(parts):
         unions = [u | m for u in unions for m in row]
     return unions
 
 
 def all_prefix_union_masks(q: PermutationPartition) -> set[int]:
-    return set(_prefix_unions(q))
+    return set(_prefix_unions(q.parts))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
@@ -164,11 +163,15 @@ def prefix_union_matrix(q: PermutationPartition, fam: SetFamily) -> HyperMatrix:
     member of the family."""
     if fam.n != q.n:
         raise ValueError(f"family ground set {fam.n} does not match partition {q.n}")
-    member = set(fam.masks)
-    dims = tuple(len(part) + 1 for part in q.parts)
+    return HyperMatrix(*_prefix_union_ones(q.parts, set(fam.masks).__contains__))
+
+
+def _prefix_union_ones(parts, member) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The dims of the prefix-union matrix of these runs, and its 1s: the
+    index vectors, in lexicographic order, whose union mask u has member(u)."""
+    dims = tuple(len(part) + 1 for part in parts)
     vectors = product(*(range(1, s + 1) for s in dims))
-    ones = tuple(idx for idx, u in zip(vectors, _prefix_unions(q)) if u in member)
-    return HyperMatrix(dims, ones)
+    return dims, [idx for idx, u in zip(vectors, _prefix_unions(parts)) if member(u)]
 
 
 class FreenessReport(NamedTuple):
@@ -186,10 +189,13 @@ def prefix_matrix_freeness_check(
     Each trial draws a random family, deletes a random member of the first
     induced copy of p until there is none (the first cube copy holding no
     absent set, see `_cube_copies`), draws a random partition, and tests the
-    matrix.
+    matrix.  The family stays a bitset over the masks and the matrix a list
+    of index vectors; only a violation is reported as a partition and sets.
     """
-    json_int(trials, "trial count")
-    json_int(n, "ground set size")
+    if json_int(trials, "trial count") < 1:
+        raise ValueError(f"need trials >= 1, got trials={trials}")
+    if json_int(n, "ground set size") < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     d = r.order_count
     if d < 2:
         raise ValueError("need a realizer with at least 2 linear orders")
@@ -211,18 +217,17 @@ def prefix_matrix_freeness_check(
             t = rng.choice(copies[total - live.bit_length()])
             keep ^= 1 << t
             live &= full ^ holding[t]
-        fam = SetFamily(n, tuple(m for m in range(1 << n) if keep >> m & 1))
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         marks = sorted(rng.sample(range(n + d - 1), d - 1))
-        q = _split(perm, [m - j for j, m in enumerate(marks)])
-        matrix = prefix_union_matrix(q, fam)
-        if contains(matrix, pattern):
+        parts = _runs(perm, [m - j for j, m in enumerate(marks)])
+        dims, ones = _prefix_union_ones(parts, lambda u: keep >> u & 1)
+        if _match(dims, ones, pattern.dims, pattern.ones):
             violations.append(
                 {
                     "trial": trial,
-                    "partition": format_partition(q),
-                    "family": fam.to_obj()["sets"],
+                    "partition": format_partition(PermutationPartition(n, parts)),
+                    "family": [elements(m) for m in range(1 << n) if keep >> m & 1],
                 }
             )
     return FreenessReport(trials, seed, violations)

@@ -10,6 +10,8 @@ runner reads or writes the result cache: each runs its own searches.
 
 from __future__ import annotations
 
+from math import prod
+
 from .doublecount import (
     count_partitions_with_prefix,
     double_count_identity,
@@ -18,15 +20,7 @@ from .doublecount import (
 )
 from .extremal import ex_exact, random_free_matrix, tardos_diamond_check
 from .family import SetFamily, elements
-from .hypermatrix import (
-    HyperMatrix,
-    all_cells,
-    block_analyze,
-    contains,
-    identity_matrix,
-    loomis_whitney_holds,
-    wide_block_limit,
-)
+from .hypermatrix import all_cells, block_analyze, contains, identity_matrix, wide_block_limit
 from .poset import dimension, load_poset
 from .rng import make_rng
 
@@ -91,18 +85,44 @@ def _double_count(trials, seed, cap_override) -> dict:
     }
 
 
+def _first_layers(dims) -> list[tuple[int, int, int]]:
+    """Per axis of a box whose cells are bits in `all_cells` order: its side,
+    its bit stride, and the mask of the cells at index 1 on it."""
+    cells = all_cells(dims)
+    return [
+        (side, prod(dims[j + 1 :]), sum(1 << i for i, c in enumerate(cells) if c[j] == 1))
+        for j, side in enumerate(dims)
+    ]
+
+
+def _projection_sizes(kept: int, layers) -> list[int]:
+    """The weight of each axis's projection of the matrix whose 1s are the
+    set bits of `kept`: its layers shifted onto the first one and ORed."""
+    sizes = []
+    for side, stride, first in layers:
+        union = 0
+        for v in range(side):
+            union |= kept >> v * stride
+        sizes.append((union & first).bit_count())
+    return sizes
+
+
 def _projection_product(trials, seed, cap_override) -> dict:
-    """Random 3-dim matrices satisfy the projection product inequality."""
+    """Random 3-dim matrices satisfy the projection product inequality,
+    |M|^2 <= the product of the projections' weights.  A matrix is one
+    bitset over the cells; only a failure lists its 1s."""
     rng = make_rng(seed, "verify:lw")
     dims = (6, 6, 6)
     cells = all_cells(dims)
+    bits = [1 << i for i in range(len(cells))]
+    layers = _first_layers(dims)
     failures = []
     for trial in range(trials):
         density = rng.uniform(0.02, 0.3)
-        ones = tuple(c for c in cells if rng.random() < density)
-        m = HyperMatrix(dims, ones)
-        if not loomis_whitney_holds(m):
-            failures.append({"trial": trial, "ones": [list(c) for c in ones]})
+        kept = sum(bit for bit in bits if rng.random() < density)
+        if kept.bit_count() ** 2 > prod(_projection_sizes(kept, layers)):
+            ones = [list(c) for c, bit in zip(cells, bits) if kept & bit]
+            failures.append({"trial": trial, "ones": ones})
     return {
         "check": "projection-product",
         "trials": trials,

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 from math import prod
 
@@ -5,6 +6,7 @@ import pytest
 
 from posetmatrix import (
     CapExceeded,
+    HyperMatrix,
     InvariantError,
     PermutationPartition,
     Poset,
@@ -12,6 +14,7 @@ from posetmatrix import (
     all_prefix_union_masks,
     builtin,
     chain,
+    contains,
     count_partitions_with_prefix,
     diamond,
     dimension,
@@ -19,12 +22,14 @@ from posetmatrix import (
     enumerate_partitions,
     find_embedding,
     format_partition,
+    identity_matrix,
     parse_partition,
     partition_count,
     prefix_matrix_freeness_check,
     prefix_union,
     prefix_union_counts,
     prefix_union_matrix,
+    realizer_to_matrix,
 )
 from posetmatrix import doublecount
 from posetmatrix.rng import make_rng
@@ -199,6 +204,46 @@ def test_freeness_check_runs_clean():
     assert report.violations == []
 
 
+def test_freeness_check_rejects_bad_trials_and_n():
+    # no trials would be a vacuous pass; a negative n must be named, not
+    # surface as a negative shift count
+    p = diamond()
+    _, realizer = dimension(p)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            prefix_matrix_freeness_check(p, realizer, trials=trials, n=4, seed=0)
+    with pytest.raises(ValueError, match="n >= 0"):
+        prefix_matrix_freeness_check(p, realizer, trials=5, n=-1, seed=0)
+
+
+def test_prefix_union_ones_match_the_matrix_and_contains():
+    # the freeness check's trial matrix (runs, bitset family, `_match`)
+    # against the validated objects and `contains`
+    rng = make_rng(0, "test:prefix-union-ones")
+    patterns = {
+        2: [identity_matrix(2)]
+        + [realizer_to_matrix(p, dimension(p)[1]) for p in (diamond(), builtin("vee:2"))],
+        3: [identity_matrix(2, 3), HyperMatrix((1, 2, 2), ((1, 1, 2), (1, 2, 1)))],
+    }
+    verdicts = Counter()
+    for _ in range(400):
+        n, d = rng.randint(3, 6), rng.randint(2, 3)
+        perm = rng.sample(range(1, n + 1), n)
+        cuts = sorted(rng.randint(0, n) for _ in range(d - 1))
+        density = rng.random()
+        keep = sum(1 << m for m in range(1 << n) if rng.random() < density)
+        parts = doublecount._runs(perm, cuts)
+        dims, ones = doublecount._prefix_union_ones(parts, lambda u: keep >> u & 1)
+        fam = SetFamily(n, tuple(m for m in range(1 << n) if keep >> m & 1))
+        matrix = prefix_union_matrix(PermutationPartition(n, parts), fam)
+        assert (dims, tuple(ones)) == (matrix.dims, matrix.ones)
+        for pattern in patterns[d]:
+            got = doublecount._match(dims, ones, pattern.dims, pattern.ones)
+            assert got == contains(matrix, pattern)
+            verdicts[d, got] += 1
+    assert min(verdicts[d, fits] for d in (2, 3) for fits in (False, True)) >= 20, verdicts
+
+
 def test_freeness_check_needs_two_orders():
     p = chain(3)
     _, realizer = dimension(p)
@@ -229,14 +274,18 @@ def _delete_and_rebuild(p, d, trials, n, seed):
 
 
 def _record_matrices(monkeypatch) -> list:
-    """The (partition, family) pairs the freeness check tests, as it goes."""
+    """The (partition, family) pairs the freeness check tests, as it goes,
+    rebuilt from the runs and the membership test its matrix helper gets."""
     seen = []
+    ones = doublecount._prefix_union_ones
 
-    def record(q, fam):
-        seen.append((q, fam))
-        return prefix_union_matrix(q, fam)
+    def record(parts, member):
+        n = sum(map(len, parts))
+        fam = SetFamily(n, tuple(m for m in range(1 << n) if member(m)))
+        seen.append((PermutationPartition(n, parts), fam))
+        return ones(parts, member)
 
-    monkeypatch.setattr(doublecount, "prefix_union_matrix", record)
+    monkeypatch.setattr(doublecount, "_prefix_union_ones", record)
     return seen
 
 
