@@ -334,6 +334,23 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
     return best, best_cur
 
 
+def _greedy(through, blocked: int, order) -> int:
+    """A maximal set of cells holding no mask, as a bitmask: take the cells in
+    `order`, each unless `blocked` (it would complete a mask).  `through[c]`
+    lists the masks holding cell c, and `blocked` starts as the one-cell
+    masks; taking a cell blocks the last cell left out of a mask through it."""
+    cur = 0
+    for i in order:
+        if blocked >> i & 1:
+            continue
+        cur |= 1 << i
+        for m in through[i]:
+            rest = m ^ (m & cur)
+            if not rest & (rest - 1):
+                blocked |= rest
+    return cur
+
+
 def ex_monotonicity_check(pattern: HyperMatrix, small, big, **caps) -> MonotonicityResult:
     """Exact check that the 1-density of the extremal value does not grow
     when every side length grows: ex(big)/cells(big) <= ex(small)/cells(small)."""
@@ -360,31 +377,31 @@ def tardos_diamond_check(n: int, **caps) -> DiamondBoundResult:
 
 def random_free_matrix(dims, patterns, rng) -> HyperMatrix:
     """Greedy random maximal pattern-free matrix: shuffle the cells, keep
-    each one that does not complete a forbidden pattern."""
+    each one that does not complete a forbidden pattern (`_greedy`)."""
     dims = tuple(json_int(x, "matrix side length") for x in dims)
-    pats = _check_patterns(dims, patterns)
+    return HyperMatrix(dims, _random_free_ones(dims, _check_patterns(dims, patterns), rng))
+
+
+def _random_free_ones(dims, pats, rng) -> list[tuple[int, ...]]:
+    """The 1s of `random_free_matrix` in order, for checked dims and patterns;
+    shuffling positions permutes exactly as shuffling the cells would."""
     cells = all_cells(dims)
-    through = _masks_through_cells(dims, pats)
-    # shuffling positions permutes exactly as shuffling the cells would
     order = list(range(len(cells)))
     rng.shuffle(order)
-    cur = 0
-    for i in order:
-        bit = 1 << i
-        if all(m & cur != m ^ bit for m in through[i]):
-            cur |= bit
-    return HyperMatrix(dims, _picked(cells, cur))
+    return _picked(cells, _greedy(*_masks_through_cells(dims, pats), order))
 
 
 @lru_cache(maxsize=64)  # `verify blocks` draws at most 49 shapes
-def _masks_through_cells(dims, pats) -> tuple[tuple[int, ...], ...]:
-    """Per cell of the box, the copies of the patterns holding it, as
-    `occurrence_masks` gives them: kept per (dims, patterns), since random
-    hosts are drawn from few shapes."""
+def _masks_through_cells(dims, pats) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """`_greedy`'s table of the patterns' copies (`occurrence_masks`): per cell
+    the copies holding it, and the union of the one-cell copies.  Kept per
+    (dims, patterns), since random hosts are drawn from few shapes."""
     through: list[list[int]] = [[] for _ in range(prod(dims))]
+    singles = 0
     for m in occurrence_masks(dims, pats):
+        singles |= 0 if m & (m - 1) else m
         rest = m
         while rest:
             through[(rest & -rest).bit_length() - 1].append(m)
             rest &= rest - 1
-    return tuple(map(tuple, through))
+    return tuple(map(tuple, through)), singles

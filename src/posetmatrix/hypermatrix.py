@@ -13,6 +13,7 @@ take every copy a box can hold at once, as bitmasks over its cells.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -247,12 +248,12 @@ class BlockReport:
         """
         if not 1 <= json_int(axis, "axis") <= len(self.grid):
             raise ValueError(f"axis {axis} out of range")
-        counts: dict[Coord, int] = {}
-        for b, axes in self.wide.items():
-            if axis in axes:
-                key = b[: axis - 1] + b[axis:]
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        return _wide_count(self.wide, axis)
+
+
+def _wide_count(wide, axis: int) -> dict[Coord, int]:
+    """`BlockReport.wide_count` of a `wide` map, for a valid axis."""
+    return Counter(b[: axis - 1] + b[axis:] for b, axes in wide.items() if axis in axes)
 
 
 def wide_block_limit(pattern: HyperMatrix, side: int) -> int:
@@ -275,39 +276,35 @@ def block_analyze(host: HyperMatrix, pattern: HyperMatrix, side: int) -> BlockRe
         raise ValueError("block side must be positive")
     if not is_permutation_matrix(pattern):
         raise ValueError("block analysis is defined against a permutation pattern")
-    d = host.d
-    grid = tuple(-(-n // side) for n in host.dims)
-    cells: dict[Coord, list[Coord]] = {}
-    for o in host.ones:
-        b = tuple((c - 1) // side + 1 for c in o)
-        local = tuple(c - (b[j] - 1) * side for j, c in enumerate(o))
-        cells.setdefault(b, []).append(local)
-    proj_pat = [projection(pattern, ax) for ax in range(1, d + 1)]
+    grid, wide, thin = _block_classes(host.dims, host.ones, pattern.dims, pattern.ones, side)
+    return BlockReport(side, grid, wide, frozenset(wide).union(thin), HyperMatrix(grid, thin))
+
+
+def _block_classes(dims, ones, a_dims, a_ones, side: int):
+    """`block_analyze` on checked, plain (dims, ones) arguments: the grid, the
+    wide blocks with their axes in block order, and the thin blocks.  A
+    block with fewer 1s than the pattern is wide along no axis."""
+    grid = tuple(-(-n // side) for n in dims)
+    held: dict[Coord, list[Coord]] = {}
+    for o in ones:
+        held.setdefault(tuple((c - 1) // side + 1 for c in o), []).append(o)
+    d = len(dims)
+    projs = [(a_dims[:j] + a_dims[j + 1 :], [o[:j] + o[j + 1 :] for o in a_ones]) for j in range(d)]
     wide: dict[Coord, tuple[int, ...]] = {}
-    for b, locs in cells.items():
-        bdims = tuple(
-            min(host.dims[j], b[j] * side) - (b[j] - 1) * side for j in range(d)
-        )
+    for b, os in held.items():
+        if len(os) < len(a_ones):
+            continue
+        lo = tuple((c - 1) * side for c in b)
+        bdims = tuple(min(n, l + side) - l for n, l in zip(dims, lo))
+        locs = [tuple(c - l for c, l in zip(o, lo)) for o in os]
         axes = tuple(
-            ax
-            for ax, pat in enumerate(proj_pat, 1)
-            if _match(
-                bdims[: ax - 1] + bdims[ax:],
-                {o[: ax - 1] + o[ax:] for o in locs},
-                pat.dims,
-                pat.ones,
-            )
+            j + 1
+            for j, (p_dims, p_ones) in enumerate(projs)
+            if _match(bdims[:j] + bdims[j + 1 :], [o[:j] + o[j + 1 :] for o in locs], p_dims, p_ones)
         )
         if axes:
             wide[b] = axes
-    coarse = HyperMatrix(grid, tuple(b for b in cells if b not in wide))
-    return BlockReport(
-        side=side,
-        grid=grid,
-        wide=dict(sorted(wide.items())),
-        nonempty=frozenset(cells),
-        coarse=coarse,
-    )
+    return grid, dict(sorted(wide.items())), [b for b in held if b not in wide]
 
 
 def all_cells(dims) -> list[Coord]:

@@ -18,9 +18,10 @@ from .doublecount import (
     prefix_matrix_freeness_check,
     prefix_union_counts,
 )
-from .extremal import ex_exact, random_free_matrix, tardos_diamond_check
+from .extremal import _random_free_ones, ex_exact, tardos_diamond_check
 from .family import SetFamily, elements
-from .hypermatrix import all_cells, block_analyze, contains, identity_matrix, wide_block_limit
+from .hypermatrix import _block_classes, _match, _wide_count
+from .hypermatrix import all_cells, identity_matrix, wide_block_limit
 from .poset import dimension, load_poset
 from .rng import make_rng
 
@@ -133,19 +134,19 @@ def _projection_product(trials, seed, cap_override) -> dict:
 
 def _block_decomposition(trials, seed, cap_override) -> dict:
     """Random pattern-free hosts: wide-block counts under the cap, coarse
-    matrix still free."""
+    matrix still free.  Hosts and coarse matrices stay lists of their 1s."""
     rng = make_rng(seed, "verify:blocks")
     pattern = identity_matrix(2)
+    limits = {side: wide_block_limit(pattern, side) for side in (1, 2)}
     failures = []
     for trial in range(trials):
         dims = (rng.randint(2, 8), rng.randint(2, 8))
-        host = random_free_matrix(dims, [pattern], rng)
+        ones = _random_free_ones(dims, (pattern,), rng)
         side = rng.choice((1, 2))
-        report = block_analyze(host, pattern, side)
-        limit = wide_block_limit(pattern, side)
+        grid, wide, thin = _block_classes(dims, ones, pattern.dims, pattern.ones, side)
         for axis in (1, 2):
-            for key, count in report.wide_count(axis).items():
-                if count > limit:
+            for key, count in _wide_count(wide, axis).items():
+                if count > limits[side]:
                     failures.append(
                         {
                             "trial": trial,
@@ -154,10 +155,10 @@ def _block_decomposition(trials, seed, cap_override) -> dict:
                             "axis": axis,
                             "column": list(key),
                             "count": count,
-                            "limit": limit,
+                            "limit": limits[side],
                         }
                     )
-        if report.coarse.weight and contains(report.coarse, pattern):
+        if thin and _match(grid, thin, pattern.dims, pattern.ones):
             failures.append(
                 {"trial": trial, "dims": list(dims), "side": side, "coarse_not_free": True}
             )

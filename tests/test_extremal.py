@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from itertools import combinations
@@ -17,6 +18,7 @@ from posetmatrix import (
     antichain,
     chain,
     diamond,
+    enumerate_patterns,
     erdos_bound,
     ex_exact,
     ex_monotonicity_check,
@@ -633,3 +635,82 @@ def test_random_free_matrix_is_free_and_maximal():
             if c not in host.ones_set:
                 grown = HyperMatrix(dims, host.ones + (c,))
                 assert brute_contains(grown, id2)
+
+
+def all_rule_greedy(through, order):
+    """The greedy as first written: take a cell unless some mask through it
+    has every other cell taken."""
+    cur = 0
+    for i in order:
+        bit = 1 << i
+        if all(m & cur != m ^ bit for m in through[i]):
+            cur |= bit
+    return cur
+
+
+@st.composite
+def greedy_runs(draw):
+    """`mask_lists` and an order of the cells."""
+    total, masks = draw(mask_lists())
+    return total, masks, draw(st.permutations(range(total)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(greedy_runs())
+@example((2, [0b01], [1, 0]))  # a one-cell mask blocks its cell from the start
+@example((3, [0b001, 0b110], [0, 1, 2]))
+@example((3, [0b011, 0b110, 0b101], [2, 0, 1]))
+def test_greedy_matches_the_all_rule(run):
+    total, masks, order = run
+    through = [[m for m in masks if m >> c & 1] for c in range(total)]
+    singles = sum(m for m in masks if not m & (m - 1))
+    assert extremal._greedy(through, singles, order) == all_rule_greedy(through, order)
+
+
+def test_random_free_matrix_of_one_cell_pattern_is_empty():
+    # every cell is a copy of the 1x1 pattern, so no cell may be taken
+    rng = make_rng(0, "ex:greedy-1x1")
+    for dims in [(1, 1), (3, 4), (2, 2, 2)]:
+        assert random_free_matrix(dims, [identity_matrix(1, len(dims))], rng).weight == 0
+
+
+RANDOM_FREE_CASES = {
+    "I2": (lambda: [identity_matrix(2)], 2, 8),
+    "3-dim I2": (lambda: [identity_matrix(2, 3)], 3, 4),
+    "diamond set": (lambda: enumerate_patterns(diamond(), 2), 2, 6),
+}
+
+
+@pytest.mark.parametrize(
+    "case, weights, digest",
+    [
+        (
+            "I2",
+            [14, 9, 10, 7, 9, 11, 5, 10, 11, 7, 8, 5, 8, 9, 9, 9, 7, 8, 15, 13],
+            "19861b9834dccd7ee496cbb55c613009100486260e2ae001cbb791b2452a631b",
+        ),
+        (
+            "3-dim I2",
+            [13, 19, 13, 30, 23, 23, 23, 18, 23, 30, 23, 18, 18, 13, 19, 37, 10, 30, 19, 23],
+            "89cbaec97f488e2953018e65b4703a913d0ca22e1e1a54ca09292bc28f2d5e30",
+        ),
+        (
+            "diamond set",
+            [4, 6, 10, 8, 10, 7, 5, 5, 7, 5, 3, 6, 6, 7, 6, 9, 7, 7, 7, 3],
+            "8da2ba1420b74305184d136da9103bb3a562216bde9717fbb1b588513419f0bb",
+        ),
+    ],
+)
+def test_random_free_matrix_frozen_draws(case, weights, digest):
+    # 20 draws at one seed, frozen from the all-rule greedy: each shape is
+    # drawn after the previous shuffle, so the digest also pins the draws
+    pats, d, top = RANDOM_FREE_CASES[case]
+    pats = pats()
+    rng = make_rng(0, "test:random-free-matrix")
+    draws = []
+    for _ in range(20):
+        dims = tuple(rng.randint(2, top) for _ in range(d))
+        draws.append(random_free_matrix(dims, pats, rng).to_obj())
+    assert [len(m["ones"]) for m in draws] == weights
+    text = json.dumps(draws, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

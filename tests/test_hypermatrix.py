@@ -331,7 +331,13 @@ def blocked_host(draw):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(blocked_host())
+# a 1x2 block is narrower than k=2 on axis 1, yet wide along axis 1: its
+# projection deleting axis 1 holds both 1s of the pattern's
+@example((HyperMatrix((1, 2), ((1, 1), (1, 2))), identity_matrix(2), 2))
+# block (1, 2) holds the host's first 1, yet block (1, 1) comes first in `wide`
+@example((HyperMatrix((2, 4), ((1, 3), (1, 4), (2, 1), (2, 2))), identity_matrix(2), 2))
 def test_block_analyze_matches_per_block_matrices(instance):
     host, pattern, side = instance
     rep = block_analyze(host, pattern, side)
     assert (rep.wide, rep.nonempty, rep.coarse) == _block_oracle(host, pattern, side)
+    assert list(rep.wide) == sorted(rep.wide)

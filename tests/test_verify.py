@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetmatrix import HyperMatrix, PermutationPartition, SetFamily, all_cells, projection
+from posetmatrix import block_analyze, identity_matrix, random_free_matrix
 from posetmatrix import verify
 from posetmatrix.cli import run
 from posetmatrix.rng import make_rng
@@ -46,6 +47,38 @@ def test_lw_failure_reports_the_drawn_ones(monkeypatch, seed):
     assert got["failures"] == want[:3] and len(want) >= 3
 
 
+@pytest.mark.parametrize("forced", ["limit", "coarse", "both"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_blocks_failure_reports_match_the_public_api(monkeypatch, seed, forced):
+    # a limit of 0 fails every blockcolumn holding a wide block, and a forced
+    # coarse test every trial with a thin block; the report must list them
+    # in the order and with the fields of a loop over the public API
+    if forced != "coarse":
+        monkeypatch.setattr(verify, "wide_block_limit", lambda pattern, side: 0)
+    if forced != "limit":
+        monkeypatch.setattr(verify, "_match", lambda *args: True)
+    rng = make_rng(seed, "verify:blocks")
+    id2 = identity_matrix(2)
+    want = []
+    for trial in range(40):
+        dims = (rng.randint(2, 8), rng.randint(2, 8))
+        host = random_free_matrix(dims, [id2], rng)
+        side = rng.choice((1, 2))
+        report = block_analyze(host, id2, side)
+        head = {"trial": trial, "dims": list(dims), "side": side}
+        if forced != "coarse":
+            for axis in (1, 2):
+                for key, count in report.wide_count(axis).items():
+                    want.append(
+                        head | {"axis": axis, "column": list(key), "count": count, "limit": 0}
+                    )
+        if forced != "limit" and report.coarse.weight:
+            want.append(head | {"coarse_not_free": True})
+    got = verify._block_decomposition(40, seed, False)
+    assert got["ok"] is False
+    assert got["failures"] == want[:5] and len(want) >= 5
+
+
 def _constructions(monkeypatch, capsys, *argv) -> int:
     """How many validated matrices, families and partitions a CLI run builds."""
     count = 0
@@ -66,7 +99,7 @@ def _constructions(monkeypatch, capsys, *argv) -> int:
     return count
 
 
-@pytest.mark.parametrize("check", ["lw", "counta"])
+@pytest.mark.parametrize("check", ["lw", "counta", "blocks"])
 def test_verify_trials_build_no_objects(monkeypatch, capsys, check):
     # what a trial builds grows with the trial count; set-up alone does not
     _constructions(monkeypatch, capsys, "verify", check, "--trials", "10")
