@@ -30,7 +30,9 @@ symmetries it still ties with.  The first maximum set found leads its own
 orbit, so values and witnesses do not depend on the symmetries given.
 `la_exact` passes the swaps of adjacent elements of {1..n}
 (`family.cube_swaps`), which map every poset's copies onto themselves and
-decide their comparisons in order; `ex_exact` passes none.
+decide their comparisons in order; `ex_exact` passes none.  Likewise a floor
+below the size of a free set already known moves no value or witness; only
+`la_exact` gives one (`_la_incumbent`).
 
 Both also share one solve path (`_solve`) around the search: the size cap,
 the optional on-disk cache, and a re-check of every witness, fresh or
@@ -45,7 +47,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from math import prod
+from itertools import accumulate
+from math import comb, prod
 from typing import NamedTuple
 
 from .cache import ResultCache
@@ -54,6 +57,7 @@ from .family import SetFamily, cube_order, cube_swaps, elements, family_contains
 from .family import occurrence_masks as family_masks
 from .hypermatrix import HyperMatrix, all_cells, contains, occurrence_masks
 from .poset import Poset, diamond, enumerate_patterns
+from .rng import make_rng
 
 ENGINE_VERSION = 1
 DEFAULT_CELL_CAP = 36
@@ -161,12 +165,41 @@ def la_exact(
             raise RuntimeError("family witness contains the forbidden poset")
         return fam
 
+    def search() -> tuple[int, int]:
+        masks = family_masks(n, p, induced)
+        return _mask_search(1 << n, masks, cube_swaps(n), _la_incumbent(n, masks).bit_count() - 1)
+
     return LaResult(*_solve(
         key, cache, n, DEFAULT_LA_CAP, f"ground set size {n}", allow_over_cap,
         lambda: [elements(s) for s in cube_order(n)],
-        lambda: _mask_search(1 << n, family_masks(n, p, induced), cube_swaps(n)),
-        witness,
+        search, witness,
     ))
+
+
+def _la_incumbent(n: int, masks: list[int]) -> int:
+    """A set of `cube_order` positions holding no mask, as a bitmask: the
+    largest free band of middle levels (`family.middle_levels`' windows,
+    nested runs of positions), or above the default cap the best of 32
+    greedy runs from a fixed rng if larger, so node counts repeat."""
+    starts = [0, *accumulate(comb(n, k) for k in range(n + 1))]
+    best = 0
+    for m in range(1, n + 2):
+        lo = (n - m + 2) // 2
+        band = (1 << starts[lo + m]) - (1 << starts[lo])
+        if any(mask & band == mask for mask in masks):
+            break
+        best = band
+    if n > DEFAULT_LA_CAP:
+        sets, rng = cube_order(n), make_rng(0, f"la-greedy:{n}")
+        through, singles = _masks_through(len(sets), masks)
+        for run in range(32):
+            order = list(range(len(sets)))
+            if run % 2:
+                rng.shuffle(order)
+            else:
+                order.sort(key=lambda i: (abs(2 * sets[i].bit_count() - n), rng.random()))
+            best = max(best, _greedy(through, singles, order), key=int.bit_count)
+    return best
 
 
 def _solve(key, cache, size, cap, size_text, allow_over_cap, labels, search, witness):
@@ -222,8 +255,11 @@ def _picked(labels, chosen: int) -> list:
     return [label for i, label in enumerate(labels) if chosen >> i & 1]
 
 
-def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
+def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tuple[int, int]:
     """Largest set of cells 0..total-1, as a bitmask, that contains no mask.
+
+    `floor` is a size to beat, below that of a known free set: the result is
+    then the same as from -1.  A floor of the optimum or more returns (floor, 0).
 
     `masks` must be sorted, and none may be empty: every set holds an empty
     mask, so one raises ValueError.  `syms` are symmetries of the masks:
@@ -296,7 +332,7 @@ def _mask_search(total: int, masks: list[int], syms=()) -> tuple[int, int]:
     # below start[pos], and those with highest cell pos a range of bits
     start = [size - bisect_left(masks, 1 << pos) for pos in range(total + 1)]
     top = [(1 << start[pos]) - (1 << start[pos + 1]) for pos in range(total)]
-    best, best_cur = -1, 0
+    best, best_cur = floor, 0
     # next cell, chosen cells, their number, live masks, tied syms
     stack = [(0, 0, 0, full, (1 << len(syms)) - 1)]
     while stack:
@@ -393,12 +429,16 @@ def _random_free_ones(dims, pats, rng) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=64)  # `verify blocks` draws at most 49 shapes
 def _masks_through_cells(dims, pats) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """`_greedy`'s table of the patterns' copies (`occurrence_masks`): per cell
-    the copies holding it, and the union of the one-cell copies.  Kept per
-    (dims, patterns), since random hosts are drawn from few shapes."""
-    through: list[list[int]] = [[] for _ in range(prod(dims))]
+    """`_masks_through` of the copies, kept as random hosts come in few shapes."""
+    return _masks_through(prod(dims), occurrence_masks(dims, pats))
+
+
+def _masks_through(total: int, masks) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """`_greedy`'s table of the masks over cells 0..total-1: per cell the
+    masks holding it, and the union of the one-cell masks."""
+    through: list[list[int]] = [[] for _ in range(total)]
     singles = 0
-    for m in occurrence_masks(dims, pats):
+    for m in masks:
         singles |= 0 if m & (m - 1) else m
         rest = m
         while rest:

@@ -180,6 +180,7 @@ def boolean_lattice(m: int) -> Poset:
 
 
 _BUILTIN = re.compile(r"^(chain|antichain|vee|boolean):(\d+)$")
+_BUILTIN_CAP = 2048  # elements; vee:r has r+1, boolean:m 2^m (checked by m)
 
 
 def builtin(name: str) -> Poset:
@@ -194,6 +195,9 @@ def builtin(name: str) -> Poset:
             "butterfly, boolean:m, or a JSON file path"
         )
     kind, arg = m.group(1), int(m.group(2))
+    big = arg >= _BUILTIN_CAP.bit_length() if kind == "boolean" else arg + (kind == "vee") > _BUILTIN_CAP
+    if big:
+        raise ValueError(f"poset {name} has more than {_BUILTIN_CAP} elements")
     if kind == "chain":
         return chain(arg)
     if kind == "antichain":

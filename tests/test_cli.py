@@ -254,6 +254,15 @@ def test_unknown_poset_is_input_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("spec", ["chain:99999999999999", "boolean:12", "vee:2048"])
+def test_oversized_builtin_poset_is_input_error(capsys, spec):
+    # refused before anything is built: chain:99999999999999 once ran out
+    # of memory, and boolean:12 has 4,096 elements, vee:2048 has 2,049
+    code, out, err = invoke(capsys, "--no-cache", "poset", "info", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: poset {spec} has more than 2048 elements\n"
+
+
 def test_bad_usage_exits_two(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()

@@ -16,6 +16,8 @@ from posetmatrix import (
     SetFamily,
     all_cells,
     antichain,
+    builtin,
+    butterfly,
     chain,
     diamond,
     enumerate_patterns,
@@ -29,7 +31,7 @@ from posetmatrix import (
     tardos_diamond_check,
     vee,
 )
-from posetmatrix.family import cube_order
+from posetmatrix.family import cube_order, family_contains
 from posetmatrix.family import occurrence_masks as family_masks
 from posetmatrix.hypermatrix import occurrence_masks
 from posetmatrix.rng import make_rng
@@ -240,6 +242,35 @@ def test_wide_mask_search_matches_brute_force(with_sym, data):
     assert extremal._mask_search(total, masks) == expected
 
 
+@st.composite
+def floor_cases(draw):
+    """A mask list from `mask_lists`, `symmetric_mask_lists` or
+    `wide_mask_lists`, with its symmetries, and an order of its cells."""
+    total, masks, syms = draw(st.one_of(
+        mask_lists().map(lambda instance: (*instance, [])),
+        symmetric_mask_lists(),
+        wide_mask_lists(False),
+        wide_mask_lists(True),
+    ))
+    return total, masks, syms, draw(st.permutations(range(total)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(floor_cases())
+# the greedy takes cells 0 and 2, the optimum: the floor is opt - 1 at the root
+@example((3, [0b11, 0b110], [[2, 1, 0]], [0, 1, 2]))
+def test_floored_mask_search_matches_unseeded(case):
+    # a floor one below a free set's size leaves value and witness as they are
+    total, masks, syms, order = case
+    expected = extremal._mask_search(total, masks, syms)
+    g = extremal._greedy(*extremal._masks_through(total, masks), order).bit_count()
+    assert g <= expected[0]
+    assert extremal._mask_search(total, masks, syms, g - 1) == expected
+    # the tightest floor, and one the optimum cannot beat: nothing is found
+    assert extremal._mask_search(total, masks, syms, expected[0] - 1) == expected
+    assert extremal._mask_search(total, masks, syms, expected[0]) == (expected[0], 0)
+
+
 def test_mask_search_rejects_empty_mask():
     # every set holds an empty mask, so no answer would be right
     with pytest.raises(ValueError, match="at least one cell"):
@@ -435,7 +466,7 @@ def test_over_cap_raises_before_listing_positions():
 
 def test_fresh_result_failing_recheck_raises(tmp_cache, monkeypatch):
     # an engine fault that takes every position must not pass or be cached
-    monkeypatch.setattr(extremal, "_mask_search", lambda total, masks, syms=(): (total, (1 << total) - 1))
+    monkeypatch.setattr(extremal, "_mask_search", lambda total, masks, *rest: (total, (1 << total) - 1))
     with pytest.raises(RuntimeError, match="forbidden pattern"):
         ex_exact((3, 3), [identity_matrix(2)], cache=tmp_cache)
     with pytest.raises(RuntimeError, match="forbidden poset"):
@@ -478,6 +509,59 @@ def test_la_vee_induced_six():
         7, 11, 13, 14, 19, 21, 22, 25, 26, 37, 38, 41, 42, 44, 49, 50, 52, 56,
         29, 30, 39, 43, 51, 60, 63,
     )
+
+
+# search values, witnesses re-checked: the lexicographically least, as
+# bitmasks (element i at bit i-1), frozen from the search without a floor
+@pytest.mark.parametrize(
+    "p, induced, masks",
+    [
+        (diamond(), True, (
+            3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 33, 34, 36, 40, 7, 11, 13, 14, 49, 50, 52,
+            56, 23, 27, 29, 30, 39, 43, 45, 46, 51, 53, 54, 57, 58, 60,
+        )),
+        (vee(2), False, (
+            7, 11, 13, 14, 19, 21, 22, 25, 26, 37, 38, 41, 42, 44, 49, 50, 52, 56,
+            29, 30, 39, 43, 51, 60,
+        )),
+        (butterfly(), True, (
+            0, 1, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28,
+            35, 37, 38, 41, 42, 44, 49, 50, 52, 56, 39, 43, 45, 46, 51, 53, 54, 57, 58, 60,
+            47, 63,
+        )),
+    ],
+    ids=["diamond-induced-36", "vee2-weak-24", "butterfly-induced-44"],
+)
+def test_la_six_frozen_witnesses(p, induced, masks):
+    res = la_exact(6, p, induced, allow_over_cap=True)
+    assert res.value == res.witness.size == len(masks)
+    assert res.witness.masks == masks
+    assert not family_contains(res.witness, p, induced)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["chain:1", "chain:2", "chain:3", "chain:4", "antichain:1", "antichain:2",
+     "antichain:3", "antichain:4", "vee:1", "vee:2", "vee:3", "diamond",
+     "butterfly", "boolean:0", "boolean:1", "boolean:2"],
+)
+def test_la_incumbent_is_free_and_at_most_the_value(spec, monkeypatch):
+    # every builtin poset of at most 4 elements; the band alone, and with
+    # the greedy runs that only go above the default cap
+    p = builtin(spec)
+    for n in range(6):
+        for induced in (False, True):
+            masks = family_masks(n, p, induced)
+            value = la_exact(n, p, induced).value
+            found = [extremal._la_incumbent(n, masks)]
+            with monkeypatch.context() as m:
+                m.setattr(extremal, "DEFAULT_LA_CAP", -1)
+                found.append(extremal._la_incumbent(n, masks))
+            assert found[1].bit_count() >= found[0].bit_count()
+            for chosen in found:
+                fam = SetFamily(n, tuple(s for i, s in enumerate(cube_order(n)) if chosen >> i & 1))
+                assert not family_contains(fam, p, induced)
+                assert fam.size <= value
 
 
 def test_ex_frontier_witnesses():
