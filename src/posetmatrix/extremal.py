@@ -62,6 +62,9 @@ from .rng import make_rng
 ENGINE_VERSION = 1
 DEFAULT_CELL_CAP = 36
 DEFAULT_LA_CAP = 5
+# below this n, building the greedy's table costs more than the whole search
+# (n=5 `chain:3`: 0.66 ms, against 0.125 ms for the band alone)
+_LA_GREEDY_FROM = 6
 
 # what a corrupt cached entry raises while it is decoded or re-checked: an
 # unknown label is a KeyError, an unhashable one a TypeError
@@ -179,8 +182,8 @@ def la_exact(
 def _la_incumbent(n: int, masks: list[int]) -> int:
     """A set of `cube_order` positions holding no mask, as a bitmask: the
     largest free band of middle levels (`family.middle_levels`' windows,
-    nested runs of positions), or above the default cap the best of 32
-    greedy runs from a fixed rng if larger, so node counts repeat."""
+    nested runs of positions), or for n >= 6 the best of 32 greedy runs from
+    a fixed rng if larger, so node counts repeat."""
     starts = [0, *accumulate(comb(n, k) for k in range(n + 1))]
     best = 0
     for m in range(1, n + 2):
@@ -189,7 +192,7 @@ def _la_incumbent(n: int, masks: list[int]) -> int:
         if any(mask & band == mask for mask in masks):
             break
         best = band
-    if n > DEFAULT_LA_CAP:
+    if n >= _LA_GREEDY_FROM:
         sets, rng = cube_order(n), make_rng(0, f"la-greedy:{n}")
         through, singles = _masks_through(len(sets), masks)
         for run in range(32):

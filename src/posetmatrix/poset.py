@@ -194,7 +194,9 @@ def builtin(name: str) -> Poset:
             f"unknown poset {name!r}; use chain:k, antichain:k, diamond, vee:r, "
             "butterfly, boolean:m, or a JSON file path"
         )
-    kind, arg = m.group(1), int(m.group(2))
+    # sized by its digits first: int() refuses strings of over 4,300 digits
+    kind, digits = m.group(1), m.group(2).lstrip("0")
+    arg = int(digits or "0") if len(digits) <= len(str(_BUILTIN_CAP)) else _BUILTIN_CAP + 1
     big = arg >= _BUILTIN_CAP.bit_length() if kind == "boolean" else arg + (kind == "vee") > _BUILTIN_CAP
     if big:
         raise ValueError(f"poset {name} has more than {_BUILTIN_CAP} elements")
@@ -317,7 +319,9 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
     Iterative deepening on t.  A tuple of extensions realizes p exactly when,
     for every ordered incomparable pair (x, y), some extension puts x before
     y; so the search is a minimum cover of the incomparable pairs by the
-    extensions' precedence masks, explored in enumeration order.
+    extensions' precedence masks, explored in enumeration order.  The last
+    order of a tuple is read off per-pair bitsets of extensions: the first
+    one left that holds every pair still uncovered.
     """
     if p.n == 0:
         raise ValueError("empty poset")
@@ -330,13 +334,25 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
     cover = [m & full for m in masks]
     if full == 0:  # a chain: its one extension realizes it
         return 1, Realizer((exts[0],))
+    # by_pair[b]: bit e set when cover[e] holds pair b; the covers as rows of
+    # bits, last extension first, so column b read downwards is by_pair[b]
+    width = p.n * p.n
+    rows = "".join([format(c, f"0{width}b") for c in reversed(cover)])
+    by_pair = [int(rows[width - 1 - b :: width], 2) for b in range(width)]
     choice: list[int] = []
 
     def dfs(start: int, covered: int, slots: int) -> bool:
         if covered == full:
             return True
-        if slots == 0:
-            return False
+        if slots == 1:
+            # the lowest e >= start whose cover holds every uncovered pair
+            fits, left = -1 << start, full & ~covered
+            while left:
+                fits &= by_pair[(left & -left).bit_length() - 1]
+                left &= left - 1
+            if fits:
+                choice.append((fits & -fits).bit_length() - 1)
+            return fits != 0
         for e in range(start, len(exts) - slots + 1):
             if cover[e] & ~covered == 0:
                 continue  # contributes nothing; minimal witnesses never need it

@@ -254,10 +254,20 @@ def test_unknown_poset_is_input_error(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("spec", ["chain:99999999999999", "boolean:12", "vee:2048"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "chain:99999999999999",
+        "boolean:12",
+        "vee:2048",
+        pytest.param("chain:" + "9" * 5000, id="chain:<5000 nines>"),
+        pytest.param("boolean:" + "0" * 5000 + "12", id="boolean:<5000 zeros>12"),
+    ],
+)
 def test_oversized_builtin_poset_is_input_error(capsys, spec):
     # refused before anything is built: chain:99999999999999 once ran out
-    # of memory, and boolean:12 has 4,096 elements, vee:2048 has 2,049
+    # of memory, and boolean:12 has 4,096 elements, vee:2048 has 2,049; a
+    # size of over 4,300 digits once reached int()'s digit limit
     code, out, err = invoke(capsys, "--no-cache", "poset", "info", spec)
     assert code == 2 and out == ""
     assert err == f"error: poset {spec} has more than 2048 elements\n"

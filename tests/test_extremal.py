@@ -547,7 +547,7 @@ def test_la_six_frozen_witnesses(p, induced, masks):
 )
 def test_la_incumbent_is_free_and_at_most_the_value(spec, monkeypatch):
     # every builtin poset of at most 4 elements; the band alone, and with
-    # the greedy runs that only go above the default cap
+    # the greedy runs that only go from n=6 on
     p = builtin(spec)
     for n in range(6):
         for induced in (False, True):
@@ -555,13 +555,21 @@ def test_la_incumbent_is_free_and_at_most_the_value(spec, monkeypatch):
             value = la_exact(n, p, induced).value
             found = [extremal._la_incumbent(n, masks)]
             with monkeypatch.context() as m:
-                m.setattr(extremal, "DEFAULT_LA_CAP", -1)
+                m.setattr(extremal, "_LA_GREEDY_FROM", 0)
                 found.append(extremal._la_incumbent(n, masks))
             assert found[1].bit_count() >= found[0].bit_count()
             for chosen in found:
                 fam = SetFamily(n, tuple(s for i, s in enumerate(cube_order(n)) if chosen >> i & 1))
                 assert not family_contains(fam, p, induced)
                 assert fam.size <= value
+
+
+def test_la_greedy_does_not_follow_the_cap(monkeypatch):
+    # the greedy lifts n=6 butterfly induced from the band's 35 to the
+    # optimum 44 whatever the cap, so raising it keeps the incumbent
+    monkeypatch.setattr(extremal, "DEFAULT_LA_CAP", 6)
+    masks = family_masks(6, builtin("butterfly"), True)
+    assert extremal._la_incumbent(6, masks).bit_count() == 44
 
 
 def test_ex_frontier_witnesses():

@@ -1,5 +1,6 @@
 import json
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,7 @@ from conftest import (
     mat,
 )
 
+DATA = Path(__file__).parent / "data"
 
 def standard_example_3() -> Poset:
     """Three atoms under the three 2-subsets of {1,2,3}; order dimension 3."""
@@ -88,6 +90,9 @@ def test_builtin_parser():
         builtin("zigzag:3")
     with pytest.raises(ValueError):
         builtin("chain:0")
+    # leading zeros are not digits of the size
+    assert builtin("chain:007") == chain(7)
+    assert builtin("chain:" + "0" * 5000 + "7") == chain(7)
 
 
 def test_validation_catches_bad_orders():
@@ -317,6 +322,20 @@ def test_dimension_witness_at_the_size_cap(p, t, extensions, ones):
     assert (d, r.extensions) == (t, extensions)
     m = realizer_to_matrix(p, r)
     assert m.dims == (p.n,) * t and m.ones == ones
+
+
+def test_dimension_of_the_standard_example_beside_two_points():
+    # frozen from the search before the last order was read off per-pair
+    # bitsets (over 3 minutes there): S_3 with two isolated elements has
+    # 2,688 linear extensions
+    p = load_poset(str(DATA / "s3_plus_2.json"))
+    d, r = dimension(p)
+    assert d == 3
+    assert r.labelled(p) == [
+        ["a1", "a2", "b3", "a3", "b1", "b2", "c1", "c2"],
+        ["a1", "a3", "b2", "a2", "b1", "b3", "c1", "c2"],
+        ["c2", "c1", "a2", "a3", "b1", "a1", "b2", "b3"],
+    ]
 
 
 @pytest.mark.parametrize(
