@@ -38,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and forbidden 0-1 patterns",
     )
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--cache-dir", default=None, help="ex and la result cache directory (verify and bounds always search)")
-    parser.add_argument("--no-cache", action="store_true", help="disable the ex and la result cache (verify and bounds never use it)")
+    parser.add_argument("--cache-dir", default=None, help="cache ex and la results in this directory (no cache without it; verify and bounds always search)")
+    parser.add_argument("--no-cache", action="store_true", help="cancel --cache-dir: read and write no cache")
     parser.add_argument(
         "--cap-override",
         action="store_true",
@@ -112,14 +112,11 @@ def main() -> None:
 
 
 def _cache(args) -> ResultCache | None:
-    if args.no_cache:
+    if args.no_cache or args.cache_dir is None:
         return None
-    root = args.cache_dir or os.path.join(
-        os.environ.get("XDG_CACHE_HOME")
-        or os.path.join(os.path.expanduser("~"), ".cache"),
-        "posetmatrix",
-    )
-    return ResultCache(root)
+    if not args.cache_dir:
+        raise ValueError("--cache-dir needs a directory name")
+    return ResultCache(args.cache_dir)
 
 
 def _emit(obj, fmt: str) -> None:
@@ -248,7 +245,7 @@ def _cmd_verify(args) -> dict:
         runner, default_alone, default_all = CHECKS[name]
         default = default_alone if alone else default_all
         trials = default if args.trials is None or default is None else args.trials
-        checks[name] = runner(trials, args.seed, args.cap_override)
+        checks[name] = runner(trials, args.seed)
     if alone:
         return {"schema": 1, "seed": args.seed, **checks[args.check]}
     ok = all(c["ok"] for c in checks.values())

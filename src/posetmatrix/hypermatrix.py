@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import comb, prod
 
 from .errors import InvariantError, json_int, load_json_file
@@ -68,25 +68,18 @@ class HyperMatrix:
 def _checked_entries(dims, ones) -> tuple[Coord, ...]:
     """The entries as sorted tuples.  Raises InvariantError for the first
     rule broken: non-integer coordinates, then the axes, then each entry's
-    arity and range in input order, then duplicates.  Each rule is decided
-    in bulk; only a broken one walks the entries to name the culprit."""
-    if set(map(type, ones)) <= {tuple, list} and set(map(type, chain.from_iterable(ones))) <= {int}:
-        ones = tuple(map(tuple, ones))
-    else:
-        ones = tuple(tuple(json_int(c, "matrix coordinate") for c in o) for o in ones)
+    arity and range in input order, then duplicates."""
+    ones = tuple(tuple(json_int(c, "matrix coordinate") for c in o) for o in ones)
     if not dims:
         raise InvariantError("positive dimension", "at least one axis is required")
     if min(dims) < 1:
         raise InvariantError("positive side lengths", f"dims={dims}")
     d = len(dims)
-    if not set(map(len, ones)) <= {d} or any(
-        min(col) < 1 or max(col) > n for col, n in zip(zip(*ones), dims)
-    ):
-        for o in ones:
-            if len(o) != d:
-                raise InvariantError("coordinate arity", f"{o} in a {d}-dimensional matrix")
-            if any(not 1 <= c <= n for c, n in zip(o, dims)):
-                raise InvariantError("coordinate within dims", f"{o} outside {dims}")
+    for o in ones:
+        if len(o) != d:
+            raise InvariantError("coordinate arity", f"{o} in a {d}-dimensional matrix")
+        if any(not 1 <= c <= n for c, n in zip(o, dims)):
+            raise InvariantError("coordinate within dims", f"{o} outside {dims}")
     if len(set(ones)) != len(ones):
         raise InvariantError("duplicate coordinates", "1-entries must be distinct")
     return tuple(sorted(ones))

@@ -406,7 +406,8 @@ def pattern_order(m: HyperMatrix) -> Poset:
 
 
 def is_isomorphic(p: Poset, q: Poset) -> bool:
-    """Brute-force order isomorphism for small posets."""
+    """Order isomorphism for small posets: equal sizes and (up, down)
+    degree profiles, then one induced-embedding search of p into q."""
     if p.n != q.n:
         return False
     if p.n > 8:

@@ -1,17 +1,19 @@
 """The `verify` self-checks: the paper's lemmas tested on exhaustive small
 cases and on seeded random instances.
 
-Every check is a runner `(trials, seed, cap_override) -> dict` whose
-result carries an "ok" field.  `CHECKS` registers each under its command
-line name with its default trial counts, run alone and under `verify all`;
-a check without trials has None there and ignores the argument.  No
-runner reads or writes the result cache: each runs its own searches.
+Every check is a runner `(trials, seed) -> dict` whose result carries an
+"ok" field.  `CHECKS` registers each under its command line name with its
+default trial counts, run alone and under `verify all`; a check without
+trials has None there and ignores the argument.  No runner reads or writes
+the result cache or lifts a size cap: each runs its own searches inside
+the default caps.
 """
 
 from __future__ import annotations
 
 from math import prod
 
+from .bounds import MT_K2
 from .doublecount import (
     count_partitions_with_prefix,
     double_count_identity,
@@ -26,7 +28,16 @@ from .poset import dimension, load_poset
 from .rng import make_rng
 
 
-def _prefix_count_formula(trials, seed, cap_override) -> dict:
+def _report(check: str, failures: list, keep: int, trials=None) -> dict:
+    """A trial check's result: its name, whether it found no failure, the
+    first `keep` failures and, for a check that has trials, their number."""
+    out = {"check": check, "ok": not failures, "failures": failures[:keep]}
+    if trials is not None:
+        out["trials"] = trials
+    return out
+
+
+def _prefix_count_formula(trials, seed) -> dict:
     """Exhaustive check of the fixed-prefix partition count formula."""
     failures = []
     for n in range(0, 5):
@@ -37,10 +48,10 @@ def _prefix_count_formula(trials, seed, cap_override) -> dict:
                     failures.append(
                         {"n": n, "d": d, "set": elements(mask), "got": got, "want": want}
                     )
-    return {"check": "prefix-count-formula", "ok": not failures, "failures": failures[:5]}
+    return _report("prefix-count-formula", failures, 5)
 
 
-def _prefix_matrix_freeness(trials, seed, cap_override) -> dict:
+def _prefix_matrix_freeness(trials, seed) -> dict:
     """Randomized: matrices of induced-free families avoid the poset matrix."""
     runs = []
     ok = True
@@ -60,7 +71,7 @@ def _prefix_matrix_freeness(trials, seed, cap_override) -> dict:
     return {"check": "prefix-matrix-freeness", "ok": ok, "runs": runs}
 
 
-def _double_count(trials, seed, cap_override) -> dict:
+def _double_count(trials, seed) -> dict:
     """Pair counts by formula vs enumeration: exhaustive small, random larger."""
     failures = []
     for n in range(0, 4):
@@ -78,12 +89,7 @@ def _double_count(trials, seed, cap_override) -> dict:
         res = double_count_identity(fam, d)
         if not res.equal:
             failures.append({"n": 4, "d": d, "family": fam.to_obj()["sets"]})
-    return {
-        "check": "double-count-identity",
-        "trials": trials,
-        "ok": not failures,
-        "failures": failures[:5],
-    }
+    return _report("double-count-identity", failures, 5, trials)
 
 
 def _first_layers(dims) -> list[tuple[int, int, int]]:
@@ -108,7 +114,7 @@ def _projection_sizes(kept: int, layers) -> list[int]:
     return sizes
 
 
-def _projection_product(trials, seed, cap_override) -> dict:
+def _projection_product(trials, seed) -> dict:
     """Random 3-dim matrices satisfy the projection product inequality,
     |M|^2 <= the product of the projections' weights.  A matrix is one
     bitset over the cells; only a failure lists its 1s."""
@@ -124,15 +130,10 @@ def _projection_product(trials, seed, cap_override) -> dict:
         if kept.bit_count() ** 2 > prod(_projection_sizes(kept, layers)):
             ones = [list(c) for c, bit in zip(cells, bits) if kept & bit]
             failures.append({"trial": trial, "ones": ones})
-    return {
-        "check": "projection-product",
-        "trials": trials,
-        "ok": not failures,
-        "failures": failures[:3],
-    }
+    return _report("projection-product", failures, 3, trials)
 
 
-def _block_decomposition(trials, seed, cap_override) -> dict:
+def _block_decomposition(trials, seed) -> dict:
     """Random pattern-free hosts: wide-block counts under the cap, coarse
     matrix still free.  Hosts and coarse matrices stay lists of their 1s."""
     rng = make_rng(seed, "verify:blocks")
@@ -162,33 +163,27 @@ def _block_decomposition(trials, seed, cap_override) -> dict:
             failures.append(
                 {"trial": trial, "dims": list(dims), "side": side, "coarse_not_free": True}
             )
-    return {
-        "check": "block-decomposition",
-        "trials": trials,
-        "ok": not failures,
-        "failures": failures[:5],
-    }
+    return _report("block-decomposition", failures, 5, trials)
 
 
-def _density_constant(trials, seed, cap_override) -> dict:
+def _density_constant(trials, seed) -> dict:
     """Exact grid values against the linear density bound for the 2x2 diagonal."""
     pattern = identity_matrix(2)
     rows = []
     ok = True
     for n in range(1, 6):
         value = ex_exact((n, n), [pattern]).value
-        bound = 192 * n
+        bound = MT_K2 * n
         rows.append({"n": n, "value": value, "bound": bound})
         ok = ok and value <= bound
     return {"check": "density-constant", "ok": ok, "values": rows}
 
 
-def _diamond_pattern_set(trials, seed, cap_override) -> dict:
+def _diamond_pattern_set(trials, seed) -> dict:
     """Forbidding all diamond-ordered patterns keeps grids at 4n ones."""
-    top = 4 if cap_override else 3
     rows = []
     ok = True
-    for n in range(1, top + 1):
+    for n in range(1, 4):
         res = tardos_diamond_check(n)
         rows.append({"n": n, "value": res.value, "bound": res.bound})
         ok = ok and res.holds

@@ -239,6 +239,40 @@ def test_verify_and_bounds_write_no_cache(tmp_path, capsys):
         assert not (tmp_path / "cache").exists(), argv
 
 
+def test_no_cache_without_cache_dir(tmp_path, capsys, monkeypatch):
+    # the cache is on only under --cache-dir: no default directory is
+    # read or written, whatever HOME and XDG_CACHE_HOME say
+    home, xdg = tmp_path / "home", tmp_path / "xdg"
+    home.mkdir()
+    xdg.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    pat = tmp_path / "id2.json"
+    dump_matrix(identity_matrix(2), pat)
+    for argv in (
+        ["ex", "--dims", "3,3", "--pattern", str(pat)],
+        ["la", "--n", "3", "--poset", "diamond", "--mode", "induced"],
+    ):
+        invoke_json(capsys, *argv)
+        assert not any(home.iterdir()) and not any(xdg.iterdir()), argv
+    # an empty name is refused rather than read as the working directory
+    code, out, err = invoke(capsys, "--cache-dir", "", *argv)
+    assert (code, out, err) == (2, "", "error: --cache-dir needs a directory name\n")
+
+
+def test_no_cache_cancels_cache_dir(tmp_path, capsys):
+    root = tmp_path / "cache"
+    invoke_json(capsys, "--cache-dir", str(root), "--no-cache", "la", "--n", "3", "--poset", "diamond")
+    assert not root.exists()
+
+
+def test_cap_override_leaves_verify_bytes(capsys):
+    # no verify check runs past a size cap, so lifting the caps changes nothing
+    plain = invoke(capsys, "--no-cache", "verify", "tardos-diamond")
+    lifted = invoke(capsys, "--no-cache", "--cap-override", "verify", "tardos-diamond")
+    assert plain[0] == 0 and lifted == plain
+
+
 def test_tsv_format(capsys):
     code, out, err = invoke(capsys, "--format", "tsv", "poset", "info", "chain:2")
     assert code == 0
@@ -361,7 +395,7 @@ def test_verify_default_trials(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    def failing(trials, seed, cap_override):
+    def failing(trials, seed):
         return {"check": "forced", "ok": False}
 
     monkeypatch.setitem(CHECKS, "mt", (failing, None, None))

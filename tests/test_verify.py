@@ -42,7 +42,7 @@ def test_lw_failure_reports_the_drawn_ones(monkeypatch, seed):
         ones = tuple(c for c in cells if rng.random() < density)
         if ones:
             want.append({"trial": trial, "ones": [list(c) for c in ones]})
-    got = verify._projection_product(8, seed, False)
+    got = verify._projection_product(8, seed)
     assert got["ok"] is False
     assert got["failures"] == want[:3] and len(want) >= 3
 
@@ -74,7 +74,7 @@ def test_blocks_failure_reports_match_the_public_api(monkeypatch, seed, forced):
                     )
         if forced != "limit" and report.coarse.weight:
             want.append(head | {"coarse_not_free": True})
-    got = verify._block_decomposition(40, seed, False)
+    got = verify._block_decomposition(40, seed)
     assert got["ok"] is False
     assert got["failures"] == want[:5] and len(want) >= 5
 
