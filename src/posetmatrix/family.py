@@ -54,7 +54,8 @@ class SetFamily:
 
     @classmethod
     def from_sets(cls, n: int, sets) -> "SetFamily":
-        """From sets of elements of {1..n}; a float or bool n or element raises."""
+        """From sets of elements of {1..n}; a float or bool n or element, or an
+        element listed twice in one set, raises."""
         n = json_int(n, "ground set size")
         masks = []
         for s in sets:
@@ -63,6 +64,8 @@ class SetFamily:
                 e = json_int(e, "set element")
                 if e < 1 or e > n:
                     raise InvariantError("set element out of range", f"{e} with n={n}")
+                if m >> (e - 1) & 1:
+                    raise InvariantError("duplicate set element", f"{e} twice in {list(s)}")
                 m |= 1 << (e - 1)
             masks.append(m)
         return cls(n, tuple(masks))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import count
+from itertools import count, product
 from operator import or_
 
 from .embed import find_order_embedding, inclusion_tables, order_embeddings
@@ -316,12 +316,20 @@ DIMENSION_SIZE_CAP = 8
 def dimension(p: Poset) -> tuple[int, Realizer]:
     """Least t with a t-order realizer, plus the lexicographically least witness.
 
-    Iterative deepening on t.  A tuple of extensions realizes p exactly when,
-    for every ordered incomparable pair (x, y), some extension puts x before
-    y; so the search is a minimum cover of the incomparable pairs by the
-    extensions' precedence masks, explored in enumeration order.  The last
-    order of a tuple is read off per-pair bitsets of extensions: the first
-    one left that holds every pair still uncovered.
+    Iterative deepening on t from 1.  A pair (a, b) is critical when a ∥ b,
+    D(a) ⊆ D(b) and U(b) ⊆ U(a); linear extensions realize p exactly when
+    some of them puts b before a for every critical pair (Trotter,
+    *Combinatorics and Partially Ordered Sets: Dimension Theory*, 1992).  So
+    the search is a minimum cover of the critical pairs by the extensions'
+    precedence masks, explored in enumeration order.  The last order of a
+    tuple is read off per-pair bitsets of extensions: the first one left
+    that holds every pair still uncovered.  A chain has no critical pair, so
+    its first extension is the answer at t = 1.
+
+    The witness is the lexicographically least realizing t-tuple, as for a
+    cover of all incomparable pairs: at the minimal t, each member of a
+    realizing tuple reverses a critical pair that no other member reverses
+    (else t - 1 orders would do), so no member is skipped for adding nothing.
     """
     if p.n == 0:
         raise ValueError("empty poset")
@@ -330,22 +338,23 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
             f"poset has {p.n} elements, dimension search cap is {DIMENSION_SIZE_CAP}"
         )
     exts = list(linear_extensions(p))
-    _, full, masks = _order_masks(p, exts)
-    cover = [m & full for m in masks]
-    if full == 0:  # a chain: its one extension realizes it
-        return 1, Realizer((exts[0],))
-    # by_pair[b]: bit e set when cover[e] holds pair b; the covers as rows of
+    _, incomparable, masks = _order_masks(p, exts)
+    # bit b*n + a for each critical pair (a, b): some order must put b first
+    full = sum(
+        1 << b * p.n + a
+        for a, b in product(range(p.n), repeat=2)
+        if incomparable >> a * p.n + b & 1 and not p.down[a] & ~p.down[b] | p.up[b] & ~p.up[a]
+    )
+    # by_pair[b]: bit e set when masks[e] holds pair b; the masks as rows of
     # bits, last extension first, so column b read downwards is by_pair[b]
     width = p.n * p.n
-    rows = "".join([format(c, f"0{width}b") for c in reversed(cover)])
+    rows = "".join([format(m, f"0{width}b") for m in reversed(masks)])
     by_pair = [int(rows[width - 1 - b :: width], 2) for b in range(width)]
     choice: list[int] = []
 
     def dfs(start: int, covered: int, slots: int) -> bool:
-        if covered == full:
-            return True
         if slots == 1:
-            # the lowest e >= start whose cover holds every uncovered pair
+            # the lowest e >= start whose mask holds every uncovered pair
             fits, left = -1 << start, full & ~covered
             while left:
                 fits &= by_pair[(left & -left).bit_length() - 1]
@@ -354,17 +363,16 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
                 choice.append((fits & -fits).bit_length() - 1)
             return fits != 0
         for e in range(start, len(exts) - slots + 1):
-            if cover[e] & ~covered == 0:
+            if masks[e] & full & ~covered == 0:
                 continue  # contributes nothing; minimal witnesses never need it
             choice.append(e)
-            if dfs(e + 1, covered | cover[e], slots - 1):
+            if dfs(e + 1, covered | masks[e], slots - 1):
                 return True
             choice.pop()
         return False
 
-    # an incomparable pair needs two orders, and every poset has a realizer
-    # of at most p.n orders, so this returns
-    for t in count(2):
+    # every poset has a realizer of at most p.n orders, so this returns
+    for t in count(1):
         choice.clear()
         if dfs(0, 0, t):
             return t, Realizer(tuple(exts[e] for e in choice))

@@ -159,6 +159,19 @@ def test_lubell_command(tmp_path, capsys):
     assert obj["shifted_lubell"] == "2/3"
 
 
+def test_lubell_refuses_an_element_listed_twice_in_one_set(tmp_path, capsys):
+    # refused like a duplicate set: merged, [1, 1] would read as {1} and the
+    # family as {1}, {1, 2}
+    fam = tmp_path / "f.json"
+    fam.write_text(json.dumps({"n": 3, "sets": [[1, 1], [2, 1]]}))
+    code, out, err = invoke(capsys, "--no-cache", "lubell", "--family", str(fam))
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate set element: 1 twice in [1, 1]\n"
+    # an unsorted set is still one set
+    fam.write_text(json.dumps({"n": 3, "sets": [[1], [2, 1]]}))
+    assert invoke_json(capsys, "lubell", "--family", str(fam))["lubell"] == "2/3"
+
+
 def test_bounds_command_stable_bytes(capsys):
     code1 = run(["--no-cache", "bounds", "--poset", "diamond"])
     first = capsys.readouterr().out

@@ -40,6 +40,9 @@ def test_family_validation():
         SetFamily(-1, ())
     with pytest.raises(InvariantError, match="out of range"):
         SetFamily.from_sets(2, [{3}])
+    with pytest.raises(InvariantError, match="duplicate set element"):
+        SetFamily.from_sets(3, [[2, 1, 2]])
+    assert SetFamily.from_sets(3, [[3, 1]]).masks == (0b101,)
 
 
 def test_from_sets_rejects_non_integers():

@@ -34,7 +34,7 @@ from posetmatrix import (
 )
 from posetmatrix.family import cube_order
 from posetmatrix.hypermatrix import all_cells
-from posetmatrix.poset import _order_masks, load_poset_obj
+from posetmatrix.poset import DIMENSION_SIZE_CAP, _order_masks, load_poset_obj
 from posetmatrix.rng import make_rng
 
 from conftest import (
@@ -218,8 +218,10 @@ def test_order_facts_match_brute_force(p):
 @settings(max_examples=100, deadline=None, database=None)
 @given(shuffled_posets())
 def test_each_extension_orders_each_incomparable_pair_one_way(p):
-    # so every extension covers the same number of ordered incomparable
-    # pairs, which `dimension`'s search takes for granted
+    # the masks `is_realizer` reads: each linear extension holds every
+    # related pair and puts each incomparable pair one way round (only
+    # `is_realizer` covers the incomparable pairs; `dimension` covers the
+    # critical ones)
     n = p.n
     related, incomparable, masks = _order_masks(p, list(linear_extensions(p)))
     for m in masks:
@@ -336,6 +338,34 @@ def test_dimension_of_the_standard_example_beside_two_points():
         ["a1", "a3", "b2", "a2", "b1", "b3", "c1", "c2"],
         ["c2", "c1", "a2", "a3", "b1", "a1", "b2", "b3"],
     ]
+
+
+def test_dimension_of_the_standard_example_s4():
+    # frozen from the search that covered every incomparable pair (about
+    # 13 s there): S_4 has dimension 4, and each order reverses one a_i b_i
+    p = load_poset(str(DATA / "s4.json"))
+    d, r = dimension(p)
+    assert d == 4
+    assert r.labelled(p) == [
+        ["a1", "a2", "a3", "b4", "a4", "b1", "b2", "b3"],
+        ["a1", "a2", "a4", "b3", "a3", "b1", "b2", "b4"],
+        ["a1", "a3", "a4", "b2", "a2", "b1", "b3", "b4"],
+        ["a2", "a3", "a4", "b1", "a1", "b2", "b3", "b4"],
+    ]
+
+
+def test_dimension_realizes_random_posets_at_the_size_cap():
+    # brute_dimension is too slow at 8 elements; the definitional
+    # is_realizer, on incomparable pairs, still checks the witness
+    rng = make_rng(0, "poset:dimension-at-cap")
+    for _ in range(24):
+        labels = [str(x) for x in range(DIMENSION_SIZE_CAP)]
+        rng.shuffle(labels)
+        prob = rng.choice((0.2, 0.35, 0.5))
+        pairs = [(a, b) for a, b in combinations(labels, 2) if rng.random() < prob]
+        p = Poset.from_pairs(sorted(labels), pairs)
+        t, r = dimension(p)
+        assert r.order_count == t and is_realizer(p, r), p
 
 
 @pytest.mark.parametrize(
