@@ -16,6 +16,11 @@ so the search yields one per automorphism orbit, the lexicographically least
 automorphism whose least moved element is i, e is below e∘σ exactly when
 e(i) < e(σ(i)).  The pairs (i, σ(i)) come from the same search run of the
 source into itself, once per poset.
+
+The search yields an embedding as a tuple of target indices
+(`order_embeddings`), or as its image, the bitset of targets it already
+holds (`order_images`, which lists the copies of a poset in the cube
+without building a tuple per embedding).
 """
 
 from __future__ import annotations
@@ -84,12 +89,22 @@ def order_embeddings(p, targets, induced: bool):
     image of an embedding is the image of one that is yielded; in induced
     mode each image is yielded exactly once.
     """
+    return _embeddings(p, targets, induced, False)
+
+
+def order_images(p, targets, induced: bool):
+    """The image of each of `order_embeddings`, in the same order, as the
+    bitset of its target indices: the one the search already holds."""
+    return _embeddings(p, targets, induced, True)
+
+
+def _embeddings(p, targets, induced: bool, images: bool):
     if len(targets) < p.n:
         return iter(())
     sup, sub = inclusion_tables(targets)
     up, down = tuple(p.up), tuple(p.down)
     allowed = degree_filter(p, sup, sub)
-    return _search(up, down, sup, sub, allowed, induced, _orbit_cuts(up, down))
+    return _search(up, down, sup, sub, allowed, induced, _orbit_cuts(up, down), images)
 
 
 @lru_cache(maxsize=1024)
@@ -116,13 +131,14 @@ def _orbit_cuts(up: tuple[int, ...], down: tuple[int, ...]) -> tuple[tuple[int, 
     return tuple(map(tuple, after))
 
 
-def _search(up, down, sup, sub, allowed: list[int], induced: bool, after):
+def _search(up, down, sup, sub, allowed: list[int], induced: bool, after, images=False):
     """The embeddings of the source (tables up, down) into the targets,
     element x going into allowed[x] and above the image of every element of
-    after[x], in lexicographic order."""
+    after[x], in lexicographic order: as tuples of targets, or with `images`
+    as the bitsets of their targets."""
     k = len(up)
     if k == 0:
-        yield ()
+        yield 0 if images else ()
         return
     assign = [0] * k
 
@@ -160,7 +176,7 @@ def _search(up, down, sup, sub, allowed: list[int], induced: bool, after):
         left[x] = cand ^ low
         assign[x] = low.bit_length() - 1
         if x == last:
-            yield tuple(assign)
+            yield used | low if images else tuple(assign)
         else:
             used |= low
             x += 1

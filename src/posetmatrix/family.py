@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .embed import find_order_embedding, order_embeddings
+from .embed import find_order_embedding, order_images
 from .errors import InvariantError, json_int, load_json_file
 
 
@@ -122,13 +122,12 @@ def occurrence_masks(n: int, p, induced: bool) -> list[int]:
     A copy is the image set of one embedding, weak or induced.  Whether a set
     of members is an induced copy depends only on those members, so a family
     contains p exactly when some mask is a subset of its members.  The
-    search yields one embedding per automorphism orbit of p, so an induced
-    copy comes once; weak embeddings from different orbits can share an
-    image, which is kept once.  The masks come sorted, hence grouped by
-    highest set.
+    search yields one embedding per automorphism orbit of p, each as its
+    image bitset, so an induced copy comes once; weak embeddings from
+    different orbits can share an image, which is kept once.  The masks come
+    sorted, hence grouped by highest set.
     """
-    embeddings = order_embeddings(p, cube_order(n), induced)
-    return sorted({sum(1 << t for t in image) for image in embeddings})
+    return sorted(set(order_images(p, cube_order(n), induced)))
 
 
 def lubell(fam: SetFamily) -> Fraction:

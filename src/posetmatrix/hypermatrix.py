@@ -150,16 +150,23 @@ def occurrence_masks(dims, patterns) -> list[int]:
     for a in patterns:
         if any(k > n for k, n in zip(a.dims, dims)):
             continue
-        # per axis, each index choice as the bit offsets of the pattern's indices
+        # per leading axis, each index choice as the bit offsets of the
+        # pattern's indices; the last axis has stride 1, so its choices shift
         axes = [
             [tuple(v * strides[j] for v in pick) for pick in combinations(range(dims[j]), a.dims[j])]
-            for j in range(len(dims))
+            for j in range(len(dims) - 1)
         ]
+        lasts = list(combinations(range(dims[-1]), a.dims[-1]))
         for offsets in product(*axes):
-            m = 0
+            # the bits of the pattern's 1s at each last index, at last index 0
+            slices = [0] * a.dims[-1]
             for one in a.ones:
-                m |= 1 << sum(offsets[j][u - 1] for j, u in enumerate(one))
-            masks.add(m)
+                slices[one[-1] - 1] |= 1 << sum(offsets[j][u - 1] for j, u in enumerate(one[:-1]))
+            for pick in lasts:
+                m = 0
+                for bits, v in zip(slices, pick):
+                    m |= bits << v
+                masks.add(m)
     return sorted(masks)
 
 

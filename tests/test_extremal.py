@@ -1,7 +1,7 @@
 import hashlib
 import json
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +31,7 @@ from posetmatrix import (
     tardos_diamond_check,
     vee,
 )
-from posetmatrix.family import cube_order, family_contains
+from posetmatrix.family import cube_order, cube_swaps, family_contains
 from posetmatrix.family import occurrence_masks as family_masks
 from posetmatrix.hypermatrix import occurrence_masks
 from posetmatrix.rng import make_rng
@@ -124,16 +124,65 @@ def test_ex_matches_brute_force_witness(instance):
     assert (res.value, res.witness.ones) == brute_ex_witness(dims, pats)
 
 
+def brute_copies(dims, pats):
+    """Every copy of every pattern in the box, as a bitmask over `all_cells`:
+    the image of the pattern's 1s under each strictly increasing index
+    choice per axis, sorted."""
+    index = {c: i for i, c in enumerate(all_cells(dims))}
+    copies = set()
+    for a in pats:
+        for pick in product(*(combinations(range(1, n + 1), k) for n, k in zip(dims, a.dims))):
+            copies.add(sum(1 << index[tuple(pick[j][u - 1] for j, u in enumerate(one))] for one in a.ones))
+    return sorted(copies)
+
+
 @settings(max_examples=60, deadline=None, database=None)
-@given(st.data())
-def test_occurrence_masks_decide_containment(data):
-    dims, pats = data.draw(ex_instances())
+@given(ex_instances(), st.integers(0, (1 << 9) - 1))
+@example(((4,), [HyperMatrix((2,), ((1,), (2,)))]), 0b1011)
+@example(((3, 3), [mat("11", "01")]), 0b110011011)  # two 1s in one row
+@example(((2, 2, 2), [HyperMatrix((1, 2, 2), ((1, 1, 1), (1, 1, 2), (1, 2, 2)))]), 0b11011101)
+@example(((2, 3), [identity_matrix(3), mat("1", "1")]), 0b100110)  # I3 larger than the box
+def test_occurrence_masks_decide_containment(instance, bits):
+    dims, pats = instance
     cells = all_cells(dims)
-    ones = data.draw(st.sets(st.sampled_from(cells)))
-    host = HyperMatrix(dims, tuple(ones))
-    bits = sum(1 << i for i, c in enumerate(cells) if c in ones)
+    bits &= (1 << len(cells)) - 1
+    host = HyperMatrix(dims, tuple(c for i, c in enumerate(cells) if bits >> i & 1))
     masks = occurrence_masks(dims, pats)
+    assert masks == brute_copies(dims, pats)
     assert any(m & bits == m for m in masks) == any(brute_contains(host, a) for a in pats)
+
+
+# each copy list's length and sha256 (its masks in decimal, comma-separated)
+# with `_mask_search`'s result, frozen from the engine that listed each copy
+# by its own loops: a faster table build must hand the search the same input
+FROZEN_COPY_TABLES = [
+    (("la", 5, "chain:3", False), 570, "10cc91121b3365e74389ba3449be71add9df5d1f1f1c0fcd1bf4ccf65954a998", (20, 67108800)),
+    (("la", 5, "vee:2", False), 1230, "7ad893ddc4021131a7d8fea3daede6f3776f5fe7202c15769c6d622961b7b714", (13, 58818496)),
+    (("la", 5, "antichain:3", True), 1090, "4fd9b7e186b18db693537bd74dad58c0ff111ac9b3b5e27ab27915b76ddcf903", (10, 2349007047)),
+    (("la", 4, "diamond", False), 235, "4678b378087245ae6d77197ad3a05b230b03da581a97669dd847f8ce9016b1f0", (10, 2046)),
+    (("la", 4, "diamond", True), 151, "d9c364a010e484a83b43415711b736c1014010e0297b69bdc3cbc819e3c634b7", (10, 2046)),
+    (("la", 4, "butterfly", True), 6, "3b5b99293fd653837a52263b42d8c238e472317456de33acdcc4020de0a533ee", (14, 63471)),
+    (("ex", (6, 6), "I2"), 225, "200a72fcd7150e561084e3ac4ac786535b2126f647026f9472b48d0e553c832e", (11, 1090785407)),
+    (("ex", (5, 5), "I3"), 100, "5fdb9e9a140b91192c4a1655e6ee0eb756f23e480c310ffb3ed671872974d76f", (16, 3248127)),
+    (("ex", (4, 4), "diamond set"), 225, "860587dceebe2726bef2eb21e0fdadae8b3f34dd44ce16dbe49c22178f7963b1", (9, 13726)),
+]
+
+
+@pytest.mark.parametrize("instance, length, digest, result", FROZEN_COPY_TABLES)
+def test_copy_tables_and_search_results_are_frozen(instance, length, digest, result):
+    if instance[0] == "la":
+        _, n, name, induced = instance
+        masks = family_masks(n, builtin(name), induced)
+        floor = extremal._la_incumbent(n, masks).bit_count() - 1
+        got = extremal._mask_search(1 << n, masks, cube_swaps(n), floor)
+    else:
+        _, dims, name = instance
+        pats = enumerate_patterns(diamond(), 2) if name == "diamond set" else [identity_matrix(int(name[1]))]
+        masks = occurrence_masks(dims, pats)
+        got = extremal._mask_search(len(all_cells(dims)), masks)
+    assert len(masks) == length
+    assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == digest
+    assert got == result
 
 
 @st.composite

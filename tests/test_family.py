@@ -24,7 +24,7 @@ from posetmatrix import (
     shifted_lubell,
     vee,
 )
-from posetmatrix.embed import degree_filter, inclusion_tables, order_embeddings
+from posetmatrix.embed import degree_filter, inclusion_tables, order_embeddings, order_images
 from posetmatrix.family import cube_order, cube_swaps, occurrence_masks
 from posetmatrix.rng import make_rng
 
@@ -253,11 +253,20 @@ def test_order_embeddings_one_per_orbit(p, masks, induced):
     got = list(order_embeddings(p, masks, induced))
     want = brute_embeddings(p, masks, induced)
     assert got == sorted(set(got))
+    # the image path runs the same search and yields each image as a bitset
+    assert list(order_images(p, masks, induced)) == [sum(1 << t for t in e) for e in got]
     assert {frozenset(e) for e in got} == {frozenset(e) for e in want}
     assert got[:1] == want[:1]
     if induced:
         # embeddings onto one induced copy differ by an automorphism
         assert len({frozenset(e) for e in got}) == len(got)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 3), small_posets(), st.booleans())
+def test_cube_copies_are_the_images_of_every_injection(n, p, induced):
+    want = {sum(1 << t for t in e) for e in brute_embeddings(p, cube_order(n), induced)}
+    assert occurrence_masks(n, p, induced) == sorted(want)
 
 
 def test_antichain_into_an_antichain_once():
