@@ -5,7 +5,8 @@ index into each run and collecting the elements before it yields a prefix
 union; the 0-1 matrix of which index vectors land inside a set family is the
 bridge between family problems and pattern problems.  The randomized
 freeness check reads the n-cube's induced copies of a poset from one table
-per (n, poset), so its trials run no embedding search.
+per (n, poset) (`embed.columns` of the copies), so its trials run no
+embedding search.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import CapExceeded, InvariantError, json_int
-from .embed import order_embeddings
+from .embed import columns, order_embeddings
 from .family import SetFamily, elements
 from .hypermatrix import HyperMatrix, _match
 from .poset import Poset, Realizer, realizer_to_matrix
@@ -238,17 +239,11 @@ def _cube_copies(n: int, p: Poset) -> tuple[tuple[tuple[int, ...], ...], tuple[i
     """The induced embeddings of p into the subsets of {1..n}, as mask
     tuples in lexicographic order, one per automorphism orbit (a family's own
     search has the same order and leaders, its masks being ascending); and
-    per mask, the bitset of the embeddings using it, embedding i at bit L-1-i
-    of L, so the first one left in a bitset is L - bit_length."""
+    per mask, the embeddings using it as `embed.columns` of their images
+    (embedding i at bit L-1-i of L, so the first one left is L - bit_length)."""
     size = 1 << n
     copies = tuple(order_embeddings(p, range(size), True))
-    holding = [0] * size
-    bit = 1 << len(copies)
-    for emb in copies:
-        bit >>= 1
-        for s in emb:
-            holding[s] |= bit
-    return copies, tuple(holding)
+    return copies, tuple(columns([sum(1 << s for s in emb) for emb in copies], size))
 
 
 class DoubleCountResult(NamedTuple):

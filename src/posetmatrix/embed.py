@@ -6,9 +6,10 @@ The targets are distinct sets under inclusion, given as bitmasks: a family,
 the n-cube, the cells of a grid as unions of unary codes, or the principal
 down-sets of a poset.  `inclusion_tables` turns them into the bitmask tables
 sup[t] / sub[t] of the targets strictly above / below t, which the search
-reads.  The source is a poset-like object exposing n and its up and down
-bitmasks.  Weak mode preserves relations one way (x < y forces image above
-image); induced mode preserves both relations and incomparabilities.
+reads; `columns`, the package's one bulk bit-column builder, supplies their
+per-element bitsets.  The source is a poset-like object exposing n and its up
+and down bitmasks.  Weak mode preserves relations one way (x < y forces image
+above image); induced mode preserves both relations and incomparabilities.
 
 Embeddings that differ by an automorphism of the source have the same image,
 so the search yields one per automorphism orbit, the lexicographically least
@@ -28,22 +29,32 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+# per bit k, a byte to the digit 1 if it has bit k set, else 0
+_DIGIT = [bytes(b"01"[v >> k & 1] for v in range(256)) for k in range(8)]
+
+
+def columns(rows, width: int) -> list[int]:
+    """The bit columns of `rows`, ints below 2**width: for each bit c <
+    width, the bitset of the rows holding bit c, row 0 at the highest bit
+    (row i of L at bit L-1-i).
+
+    Built in bulk: the rows side by side as little-endian bytes, per column
+    the stride slice of the byte holding its bit, each byte turned into the
+    digit 1 or 0 by a `bytes.translate` table, the digits read by
+    `int(..., 2)`."""
+    size = (width + 7) // 8
+    data = b"".join([r.to_bytes(size, "little") for r in rows])
+    return [int(data[c >> 3 :: size].translate(_DIGIT[c & 7]) or b"0", 2) for c in range(width)]
+
+
 def inclusion_tables(masks):
     """sup[i] / sub[i]: bitsets of the members strictly above / below member
     i under inclusion (masks distinct).  With holds[e] the members holding
-    element e, i's supersets are in holds[e] for every e in i, and its
-    subsets in holds[e] for no e outside i: O(k·n) big-int operations."""
+    element e (`columns` of the masks, last first, so member i is bit i),
+    i's supersets are in holds[e] for every e in i, and its subsets in
+    holds[e] for no e outside i: O(k·n) big-int operations."""
     full = (1 << len(masks)) - 1
-    holds = [0] * max(masks, default=0).bit_length()
-    bit = 1
-    for m in masks:
-        e = 0
-        while m:
-            if m & 1:
-                holds[e] |= bit
-            m >>= 1
-            e += 1
-        bit <<= 1
+    holds = columns(masks[::-1], max(masks, default=0).bit_length())
     sup = []
     sub = []
     bit = 1

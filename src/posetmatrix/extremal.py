@@ -21,9 +21,9 @@ bitset holds the masks in reverse order, the first at the highest bit: a
 live mask's last position is still undecided, so the live masks are the
 low bits, and the bitsets shrink as the search goes deeper and as the bound
 clears masks.  No mask may be empty.  The search builds its per-position
-bitsets in one transposition of the masks' bytes and lists a mask's
-positions only when the bound first takes it, so a long copy list costs
-little more than the copies the search touches.
+bitsets in one bulk transposition of the masks (`embed.columns`) and lists
+a mask's positions only when the bound first takes it, so a long copy list
+costs little more than the copies the search touches.
 
 The search also takes symmetries of the mask set, position permutations
 that are involutions, and cuts a node whose every completion one of them
@@ -55,6 +55,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .cache import ResultCache
+from .embed import columns
 from .errors import CapExceeded, json_int
 from .family import SetFamily, cube_order, cube_swaps, elements, family_contains
 from .family import occurrence_masks as family_masks
@@ -65,16 +66,13 @@ from .rng import make_rng
 ENGINE_VERSION = 1
 DEFAULT_CELL_CAP = 36
 DEFAULT_LA_CAP = 5
-# below this n, building the greedy's table costs more than the whole search
-# (n=5 `chain:3`: 0.66 ms, against 0.125 ms for the band alone)
+# below this n, the greedy runs cost more than the search time they save
+# (n=5 `vee:2`: 2.0 ms of runs save 1.2 ms of search)
 _LA_GREEDY_FROM = 6
 
 # what a corrupt cached entry raises while it is decoded or re-checked: an
 # unknown label is a KeyError, an unhashable one a TypeError
 _BAD_ENTRY = (RuntimeError, ValueError, KeyError, TypeError)
-
-# per bit k, a byte to the digit 1 if it has bit k clear, else 0
-_LEFT_OUT = [bytes(b"01"[~v >> k & 1] for v in range(256)) for k in range(8)]
 
 
 class ExResult(NamedTuple):
@@ -186,28 +184,31 @@ def la_exact(
 
 
 def _la_incumbent(n: int, masks: list[int]) -> int:
-    """A set of `cube_order` positions holding no mask, as a bitmask: the
-    largest free band of middle levels (`family.middle_levels`' windows,
-    nested runs of positions), or for n >= 6 the best of 32 greedy runs from
-    a fixed rng if larger, so node counts repeat."""
+    """A set of `cube_order` positions holding none of the sorted masks, as a
+    bitmask: the largest free band of middle levels (`family.middle_levels`'
+    windows, nested runs of positions), or for n >= 6 the best of 32 greedy
+    runs from a fixed rng if larger, so node counts repeat."""
     starts = [0, *accumulate(comb(n, k) for k in range(n + 1))]
     best = 0
     for m in range(1, n + 2):
         lo = (n - m + 2) // 2
-        band = (1 << starts[lo + m]) - (1 << starts[lo])
-        if any(mask & band == mask for mask in masks):
+        low, high = 1 << starts[lo], 1 << starts[lo + m]
+        band = high - low
+        # only a mask whose highest position is in the band can lie in it
+        inside = masks[bisect_left(masks, low) : bisect_left(masks, high)]
+        if any(mask & band == mask for mask in inside):
             break
         best = band
     if n >= _LA_GREEDY_FROM:
         sets, rng = cube_order(n), make_rng(0, f"la-greedy:{n}")
-        through, singles = _masks_through(len(sets), masks)
+        table = _greedy_table(len(sets), masks)
         for run in range(32):
             order = list(range(len(sets)))
             if run % 2:
                 rng.shuffle(order)
             else:
                 order.sort(key=lambda i: (abs(2 * sets[i].bit_count() - n), rng.random()))
-            best = max(best, _greedy(through, singles, order), key=int.bit_count)
+            best = max(best, _greedy(*table, order), key=int.bit_count)
     return best
 
 
@@ -300,14 +301,11 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
     that clear masks are non-negative, so each step costs only the length
     of what is left.
 
-    The tables are built in bulk.  `out[c]`, the live masks kept when cell
-    c is decided out, is one column of the masks written side by side as
-    bytes, mask 0 first: the stride slice of byte c >> 3 of every mask,
-    each byte turned into the digit 1 if it lacks bit c & 7 (a
-    `bytes.translate` table), read by `int(..., 2)`.  A mask's cells,
-    highest first, are listed the first time the bound takes the mask, and
-    kept: most masks never reach the bound (71 of 570 for n=5 `chain:3`,
-    822 of 185,136 for n=5 `vee:5` weak).
+    `out[c]`, the live masks kept when cell c is decided out, is the
+    complement of column c of the masks (`embed.columns`, built in bulk).
+    A mask's cells, highest first, are listed the first time the bound takes
+    the mask, and kept: most masks never reach the bound (71 of 570 for n=5
+    `chain:3`, 822 of 185,136 for n=5 `vee:5` weak).
 
     X and sym(X) can first differ only at a cell c < sym[c], where X at c
     is compared with X at sym[c].  A sym's comparisons are used in order of
@@ -332,10 +330,8 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
                 last = d
     size = len(masks)
     full = (1 << size) - 1
-    # out[c] clears the masks that hold cell c (built as the docstring says)
-    width = (total + 7) // 8
-    rows = b"".join([m.to_bytes(width, "little") for m in masks])
-    out = [int(rows[c >> 3 :: width].translate(_LEFT_OUT[c & 7]) or b"0", 2) for c in range(total)]
+    # out[c] clears the masks that hold cell c
+    out = [full ^ held for held in columns(masks, total)]
     cells = [None] * size  # by bit, each mask's cells once `_list_cells` lists them
     # masks are sorted, so those with highest cell at least pos are the bits
     # below start[pos], and those with highest cell pos a range of bits
@@ -392,21 +388,34 @@ def _list_cells(cells: list, masks: list[int], free: int) -> list[int]:
     return held
 
 
-def _greedy(through, blocked: int, order) -> int:
+def _greedy(held, counts, order) -> int:
     """A maximal set of cells holding no mask, as a bitmask: take the cells in
-    `order`, each unless `blocked` (it would complete a mask).  `through[c]`
-    lists the masks holding cell c, and `blocked` starts as the one-cell
-    masks; taking a cell blocks the last cell left out of a mask through it."""
+    `order`, each unless it completes a mask, that is unless `held[c]`, the
+    masks through it, meets `counts[1]`, the masks with one cell not taken;
+    taking it moves each mask through it down one count (`_greedy_table`)."""
+    counts = list(counts)
     cur = 0
     for i in order:
-        if blocked >> i & 1:
+        through = held[i]
+        if through & counts[1]:
             continue
         cur |= 1 << i
-        for m in through[i]:
-            rest = m ^ (m & cur)
-            if not rest & (rest - 1):
-                blocked |= rest
+        k = 1
+        while through:
+            k += 1
+            moved = through & counts[k]
+            counts[k] ^= moved
+            counts[k - 1] |= moved
+            through ^= moved
     return cur
+
+
+def _greedy_table(total: int, masks) -> tuple[list[int], list[int]]:
+    """`_greedy`'s table of the masks over cells 0..total-1 as `embed.columns`
+    bitsets: per cell the masks holding it, and per size k from 0 to at least
+    1 the masks of k cells (the columns of each mask's 1 << size)."""
+    sizes = [1 << m.bit_count() for m in masks]
+    return columns(masks, total), columns(sizes, max([2, *sizes]).bit_length())
 
 
 def ex_monotonicity_check(pattern: HyperMatrix, small, big, **caps) -> MonotonicityResult:
@@ -450,20 +459,6 @@ def _random_free_ones(dims, pats, rng) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)  # `verify blocks` draws at most 49 shapes
-def _masks_through_cells(dims, pats) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """`_masks_through` of the copies, kept as random hosts come in few shapes."""
-    return _masks_through(prod(dims), occurrence_masks(dims, pats))
-
-
-def _masks_through(total: int, masks) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """`_greedy`'s table of the masks over cells 0..total-1: per cell the
-    masks holding it, and the union of the one-cell masks."""
-    through: list[list[int]] = [[] for _ in range(total)]
-    singles = 0
-    for m in masks:
-        singles |= 0 if m & (m - 1) else m
-        rest = m
-        while rest:
-            through[(rest & -rest).bit_length() - 1].append(m)
-            rest &= rest - 1
-    return tuple(map(tuple, through)), singles
+def _masks_through_cells(dims, pats) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_greedy_table` of the copies, kept as random hosts come in few shapes."""
+    return tuple(map(tuple, _greedy_table(prod(dims), occurrence_masks(dims, pats))))

@@ -3,6 +3,7 @@
 A poset holds labelled elements and, per element, the bitmask of elements
 strictly above it.  Construction always validates irreflexivity, antisymmetry
 and transitivity, so every Poset in the system is a genuine strict order.
+The dimension search reads its per-pair bitsets off `embed.columns`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cached_property, reduce
 from itertools import count, product
 from operator import or_
 
-from .embed import find_order_embedding, inclusion_tables, order_embeddings
+from .embed import columns, find_order_embedding, inclusion_tables, order_embeddings
 from .errors import CapExceeded, InvariantError, json_int, load_json_file
 from .family import cube_order, elements
 from .hypermatrix import HyperMatrix, all_cells
@@ -345,11 +346,8 @@ def dimension(p: Poset) -> tuple[int, Realizer]:
         for a, b in product(range(p.n), repeat=2)
         if incomparable >> a * p.n + b & 1 and not p.down[a] & ~p.down[b] | p.up[b] & ~p.up[a]
     )
-    # by_pair[b]: bit e set when masks[e] holds pair b; the masks as rows of
-    # bits, last extension first, so column b read downwards is by_pair[b]
-    width = p.n * p.n
-    rows = "".join([format(m, f"0{width}b") for m in reversed(masks)])
-    by_pair = [int(rows[width - 1 - b :: width], 2) for b in range(width)]
+    # by_pair[b]: bit e set when masks[e] holds pair b
+    by_pair = columns(masks[::-1], p.n * p.n)
     choice: list[int] = []
 
     def dfs(start: int, covered: int, slots: int) -> bool:

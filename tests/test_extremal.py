@@ -312,7 +312,7 @@ def test_floored_mask_search_matches_unseeded(case):
     # a floor one below a free set's size leaves value and witness as they are
     total, masks, syms, order = case
     expected = extremal._mask_search(total, masks, syms)
-    g = extremal._greedy(*extremal._masks_through(total, masks), order).bit_count()
+    g = extremal._greedy(*extremal._greedy_table(total, masks), order).bit_count()
     assert g <= expected[0]
     assert extremal._mask_search(total, masks, syms, g - 1) == expected
     # the tightest floor, and one the optimum cannot beat: nothing is found
@@ -621,6 +621,21 @@ def test_la_greedy_does_not_follow_the_cap(monkeypatch):
     assert extremal._la_incumbent(6, masks).bit_count() == 44
 
 
+# sha256 of each incumbent bitset in decimal, frozen from the greedy that
+# kept per-cell lists of masks
+FROZEN_INCUMBENTS = [
+    (6, "vee:3", False, 29, "d81c723523dc14f883262680eb855b5815573493451b0b7c39ea92790313b924"),
+    (7, "butterfly", True, 78, "945c593f33fde16e11fe3e2308c8c1acd774166d81f4b75ffd9da5542f011951"),
+]
+
+
+@pytest.mark.parametrize("n, name, induced, size, digest", FROZEN_INCUMBENTS)
+def test_la_incumbent_is_frozen(n, name, induced, size, digest):
+    chosen = extremal._la_incumbent(n, family_masks(n, builtin(name), induced))
+    assert chosen.bit_count() == size
+    assert hashlib.sha256(str(chosen).encode()).hexdigest() == digest
+
+
 def test_ex_frontier_witnesses():
     # the lexicographically least witnesses: the cells with a coordinate
     # at most 2 for I3 on 6x6, and with a coordinate 1 for the 3-dim 2x2x2
@@ -804,8 +819,15 @@ def greedy_runs(draw):
 def test_greedy_matches_the_all_rule(run):
     total, masks, order = run
     through = [[m for m in masks if m >> c & 1] for c in range(total)]
-    singles = sum(m for m in masks if not m & (m - 1))
-    assert extremal._greedy(through, singles, order) == all_rule_greedy(through, order)
+    table = extremal._greedy_table(total, masks)
+    assert extremal._greedy(*table, order) == all_rule_greedy(through, order)
+
+
+def test_random_free_matrix_of_a_mask_of_256_cells():
+    # one copy of 256 cells: every cell but the last in the order is taken
+    ones = HyperMatrix((16, 16), all_cells((16, 16)))
+    host = random_free_matrix((16, 16), [ones], make_rng(0, "ex:greedy-16x16"))
+    assert host.weight == 255
 
 
 def test_random_free_matrix_of_one_cell_pattern_is_empty():

@@ -24,7 +24,7 @@ from posetmatrix import (
     shifted_lubell,
     vee,
 )
-from posetmatrix.embed import degree_filter, inclusion_tables, order_embeddings, order_images
+from posetmatrix.embed import columns, degree_filter, inclusion_tables, order_embeddings, order_images
 from posetmatrix.family import cube_order, cube_swaps, occurrence_masks
 from posetmatrix.rng import make_rng
 
@@ -129,6 +129,38 @@ def test_family_file_round_trip(tmp_path):
     bad.write_text("{]")
     with pytest.raises(InvariantError, match="valid JSON"):
         load_family(bad)
+
+
+def naive_columns(rows, width):
+    # bit c of row i is bit len - 1 - i of column c
+    last = len(rows) - 1
+    return [sum(1 << last - i for i, r in enumerate(rows) if r >> c & 1) for c in range(width)]
+
+
+@st.composite
+def column_inputs(draw):
+    """A width of 0 to 40 bits and up to 30 rows below 2**width."""
+    width = draw(st.integers(0, 40))
+    return draw(st.lists(st.integers(0, (1 << width) - 1), max_size=30)), width
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(column_inputs())
+@example(([], 0))
+@example(([], 9))
+@example(([0], 0))
+@example(([0, 0, 0], 13))  # all-zero rows
+@example(([1 << 16, 0b101, 1 << 16 | 1], 17))  # a width one past a whole byte
+@example(([255, 256, 0b11], 9))
+def test_columns_match_the_naive_definition(case):
+    rows, width = case
+    assert columns(rows, width) == naive_columns(rows, width)
+
+
+def test_columns_of_a_range():
+    for n in range(6):
+        assert columns(range(1 << n), n) == naive_columns(list(range(1 << n)), n)
+        assert columns(range(1 << n)[::-1], n) == naive_columns(list(range(1 << n))[::-1], n)
 
 
 def test_inclusion_tables_match_pairwise_definition():
