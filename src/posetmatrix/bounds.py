@@ -10,9 +10,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import CapExceeded, json_int
-from .extremal import DEFAULT_CELL_CAP, ex_exact
+from .extremal import ex_exact
 from .family import family_contains, middle_levels
-from .hypermatrix import HyperMatrix
 from .poset import Poset, diamond, dimension, height, is_isomorphic, realizer_to_matrix
 
 
@@ -122,23 +121,11 @@ def e_estimate(p: Poset, induced: bool) -> int:
     An estimate only: tested for n up to E_ESTIMATE_N_MAX, so it can
     overshoot the true all-n value.
     """
-    est = 0
-    m = 1
-    while m <= E_ESTIMATE_N_MAX + 1:
+    for m in range(1, E_ESTIMATE_N_MAX + 2):
         ns = range(max(1, m - 1), E_ESTIMATE_N_MAX + 1)
         if not all(middle_levels_free(n, m, p, induced) for n in ns):
-            break
-        est = m
-        m += 1
-    return est
-
-
-def _pattern_side_cap(d: int) -> int:
-    """Largest side n <= 4 whose d-dim cube is within the cell cap."""
-    n = 1
-    while (n + 1) ** d <= DEFAULT_CELL_CAP:
-        n += 1
-    return min(4, n)
+            return m - 1
+    return E_ESTIMATE_N_MAX + 1
 
 
 def induced_bound_pipeline(p: Poset) -> dict:
@@ -147,8 +134,9 @@ def induced_bound_pipeline(p: Poset) -> dict:
     matrix, the realizer, the matrix, K and the transfer coefficients 2^d K
     and 4^(d-1) (d-1)!/(d-1)^(d-1) K.
 
-    "exact" takes K as the empirical max of ex/n^(d-1) at small n (not a
-    proof); "mt", present when d = 2, the k=2 Marcus-Tardos constant.
+    "exact" takes K as the empirical max of ex/n^(d-1) over the sides n <= 4
+    that `ex_exact` takes inside its cell cap (not a proof); "mt", present
+    when d = 2, the k=2 Marcus-Tardos constant.
     """
     d, realizer = dimension(p)
     if d < 2:
@@ -169,14 +157,16 @@ def induced_bound_pipeline(p: Poset) -> dict:
             "refined_coefficient": str(refined),
         }
 
-    n_hi = _pattern_side_cap(d)
-    k_exact = max(
-        Fraction(ex_exact((n,) * d, [pattern]).value, n ** (d - 1))
-        for n in range(1, n_hi + 1)
-    )
+    densities = []
+    for n in range(1, 5):
+        try:
+            densities.append(Fraction(ex_exact((n,) * d, [pattern]).value, n ** (d - 1)))
+        except CapExceeded:
+            break
+    n_hi = len(densities)
     out = {
         "dimension": d,
-        "exact": route(k_exact, f"empirical max ex/n^(d-1) over n<={n_hi}; not a proof"),
+        "exact": route(max(densities), f"empirical max ex/n^(d-1) over n<={n_hi}; not a proof"),
     }
     if d == 2:
         out["mt"] = route(Fraction(MT_K2), "marcus-tardos-constant(k=2)")
@@ -185,8 +175,6 @@ def induced_bound_pipeline(p: Poset) -> dict:
 
 def bounds_table(p: Poset) -> dict:
     """All bound coefficients for one poset, JSON-ready, exact strings."""
-    if p.n == 0:
-        raise ValueError("empty poset")
     h = height(p)
     cl_m, cl_v = best_chen_li(p)
     g_k, g_v = best_gmt(p)
@@ -203,7 +191,7 @@ def bounds_table(p: Poset) -> dict:
         "marcus_tardos_k2": str(MT_K2),
         "e_estimate_weak": e_estimate(p, induced=False),
         "e_estimate_induced": e_estimate(p, induced=True),
-        "e_estimate_note": "middle-levels scan for n <= 6; estimate only",
+        "e_estimate_note": f"middle-levels scan for n <= {E_ESTIMATE_N_MAX}; estimate only",
     }
     if hasse_is_tree(p):
         table["bukh_tree"] = {

@@ -4,7 +4,8 @@ Every command prints one JSON object (or a flattened TSV of it) with a
 top-level "schema" field.  Randomized verification commands echo their seed
 and report counterexamples in the output; exit status is 0 for ok, 1 for a
 failed verification, 2 for bad input, 141 when the reader of stdout closes
-it early.
+it early.  The parser is built once per process; `verify` runs through
+`verify.run_checks`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .bounds import bounds_table
 from .cache import ResultCache
-from .errors import CapExceeded, InvariantError
+from .errors import CapExceeded
 from .extremal import ex_exact, la_exact
 from .family import load_family, lubell, shifted_lubell
 from .hypermatrix import load_matrix
@@ -28,9 +30,10 @@ from .poset import (
     load_poset,
     realizer_to_matrix,
 )
-from .verify import CHECKS
+from .verify import CHECKS, run_checks
 
 
+@cache  # built once per process: building it costs most of a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posetmatrix",
@@ -86,14 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         payload = args.handler(args)
-    except (InvariantError, CapExceeded, ValueError, OSError) as exc:
+    except (CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -116,7 +118,11 @@ def _cache(args) -> ResultCache | None:
         return None
     if not args.cache_dir:
         raise ValueError("--cache-dir needs a directory name")
-    return ResultCache(args.cache_dir)
+    # refused before any search runs, rather than at the first write
+    root = Path(args.cache_dir)
+    if not next((p for p in (root, *root.parents) if p.exists()), root).is_dir():
+        raise ValueError(f"--cache-dir {args.cache_dir}: not a directory")
+    return ResultCache(root)
 
 
 def _emit(obj, fmt: str) -> None:
@@ -233,23 +239,7 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    """One check, or every check under `all` with its own default trials;
-    --trials replaces the default of each check that has one."""
-    if args.trials is not None and args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    alone = args.check != "all"
-    if alone and args.trials is not None and CHECKS[args.check][1] is None:
-        raise ValueError(f"verify {args.check} takes no --trials")
-    checks = {}
-    for name in [args.check] if alone else CHECKS:
-        runner, default_alone, default_all = CHECKS[name]
-        default = default_alone if alone else default_all
-        trials = default if args.trials is None or default is None else args.trials
-        checks[name] = runner(trials, args.seed)
-    if alone:
-        return {"schema": 1, "seed": args.seed, **checks[args.check]}
-    ok = all(c["ok"] for c in checks.values())
-    return {"schema": 1, "seed": args.seed, "ok": ok, "checks": checks}
+    return {"schema": 1, "seed": args.seed, **run_checks(args.check, args.trials, args.seed)}
 
 
 if __name__ == "__main__":

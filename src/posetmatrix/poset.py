@@ -3,7 +3,8 @@
 A poset holds labelled elements and, per element, the bitmask of elements
 strictly above it.  Construction always validates irreflexivity, antisymmetry
 and transitivity, so every Poset in the system is a genuine strict order.
-The dimension search reads its per-pair bitsets off `embed.columns`.
+The dimension search reads its per-pair bitsets off `embed.columns`.  The
+builtin posets, by name or sized kind, are one table, `_BUILTINS`.
 """
 
 from __future__ import annotations
@@ -180,41 +181,48 @@ def boolean_lattice(m: int) -> Poset:
     return Poset(tuple(label), tuple(inclusion_tables(masks)[0]))
 
 
-_BUILTIN = re.compile(r"^(chain|antichain|vee|boolean):(\d+)$")
-_BUILTIN_CAP = 2048  # elements; vee:r has r+1, boolean:m 2^m (checked by m)
+# the builtins by name: a named poset maps to (builder, None), a sized kind,
+# spelled kind:k, to (builder of size k, its number of elements)
+_BUILTINS = {
+    "diamond": (diamond, None),
+    "butterfly": (butterfly, None),
+    "chain": (chain, lambda k: k),
+    "antichain": (antichain, lambda k: k),
+    "vee": (vee, lambda r: r + 1),
+    "boolean": (boolean_lattice, lambda m: 1 << m),
+}
+_SIZED = re.compile(r"^(\w+):(\d+)$")
+_BUILTIN_CAP = 2048  # elements
+
+
+def _builtin_entry(name: str):
+    """(builder, size, digits) if name spells a builtin, digits None if named."""
+    kind, digits = m.groups() if (m := _SIZED.match(name)) else (name, None)
+    build, size = _BUILTINS.get(kind, (None, None))
+    return (build, size, digits) if build and (size is None) == (digits is None) else None
 
 
 def builtin(name: str) -> Poset:
-    if name == "diamond":
-        return diamond()
-    if name == "butterfly":
-        return butterfly()
-    m = _BUILTIN.match(name)
-    if not m:
+    """The poset that a builtin spelling names, looked up in `_BUILTINS`."""
+    if not (found := _builtin_entry(name)):
         raise ValueError(
             f"unknown poset {name!r}; use chain:k, antichain:k, diamond, vee:r, "
             "butterfly, boolean:m, or a JSON file path"
         )
+    build, size, digits = found
+    if digits is None:
+        return build()
     # sized by its digits first: int() refuses strings of over 4,300 digits
-    kind, digits = m.group(1), m.group(2).lstrip("0")
+    digits = digits.lstrip("0")
     arg = int(digits or "0") if len(digits) <= len(str(_BUILTIN_CAP)) else _BUILTIN_CAP + 1
-    big = arg >= _BUILTIN_CAP.bit_length() if kind == "boolean" else arg + (kind == "vee") > _BUILTIN_CAP
-    if big:
+    if size(arg) > _BUILTIN_CAP:
         raise ValueError(f"poset {name} has more than {_BUILTIN_CAP} elements")
-    if kind == "chain":
-        return chain(arg)
-    if kind == "antichain":
-        return antichain(arg)
-    if kind == "vee":
-        return vee(arg)
-    return boolean_lattice(arg)
+    return build(arg)
 
 
 def load_poset(spec: str) -> Poset:
     """Accept a builtin name or a JSON file path."""
-    if spec == "diamond" or spec == "butterfly" or _BUILTIN.match(spec):
-        return builtin(spec)
-    return load_poset_file(spec)
+    return builtin(spec) if _builtin_entry(spec) else load_poset_file(spec)
 
 
 def _positive(k: int) -> None:

@@ -3,10 +3,10 @@ cases and on seeded random instances.
 
 Every check is a runner `(trials, seed) -> dict` whose result carries an
 "ok" field.  `CHECKS` registers each under its command line name with its
-default trial counts, run alone and under `verify all`; a check without
-trials has None there and ignores the argument.  No runner reads or writes
-the result cache or lifts a size cap: each runs its own searches inside
-the default caps.
+default trial counts, run alone and under `verify all` (None for a check
+without trials); `run_checks` is the one reader of that table.  No runner
+reads or writes the result cache or lifts a size cap: each runs its own
+searches inside the default caps.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ def _prefix_count_formula(trials, seed) -> dict:
 def _prefix_matrix_freeness(trials, seed) -> dict:
     """Randomized: matrices of induced-free families avoid the poset matrix."""
     runs = []
-    ok = True
     for spec in ("diamond", "vee:2", "butterfly"):
         p = load_poset(spec)
         d, realizer = dimension(p)
@@ -67,7 +66,7 @@ def _prefix_matrix_freeness(trials, seed) -> dict:
                 "violations": report.violations[:5],
             }
         )
-        ok = ok and not report.violations
+    ok = not any(run["violations"] for run in runs)
     return {"check": "prefix-matrix-freeness", "ok": ok, "runs": runs}
 
 
@@ -166,28 +165,24 @@ def _block_decomposition(trials, seed) -> dict:
     return _report("block-decomposition", failures, 5, trials)
 
 
+def _budget(check: str, rows) -> dict:
+    """A grid-budget check's result from its (n, value, bound) rows: exact
+    values against linear bounds, ok when none is over its bound."""
+    values = [{"n": n, "value": value, "bound": bound} for n, value, bound in rows]
+    return {"check": check, "ok": all(r["value"] <= r["bound"] for r in values), "values": values}
+
+
 def _density_constant(trials, seed) -> dict:
     """Exact grid values against the linear density bound for the 2x2 diagonal."""
     pattern = identity_matrix(2)
-    rows = []
-    ok = True
-    for n in range(1, 6):
-        value = ex_exact((n, n), [pattern]).value
-        bound = MT_K2 * n
-        rows.append({"n": n, "value": value, "bound": bound})
-        ok = ok and value <= bound
-    return {"check": "density-constant", "ok": ok, "values": rows}
+    rows = ((n, ex_exact((n, n), [pattern]).value, MT_K2 * n) for n in range(1, 6))
+    return _budget("density-constant", rows)
 
 
 def _diamond_pattern_set(trials, seed) -> dict:
     """Forbidding all diamond-ordered patterns keeps grids at 4n ones."""
-    rows = []
-    ok = True
-    for n in range(1, 4):
-        res = tardos_diamond_check(n)
-        rows.append({"n": n, "value": res.value, "bound": res.bound})
-        ok = ok and res.holds
-    return {"check": "diamond-pattern-set", "ok": ok, "values": rows}
+    checks = map(tardos_diamond_check, range(1, 4))
+    return _budget("diamond-pattern-set", ((n, r.value, r.bound) for n, r in enumerate(checks, 1)))
 
 
 # name -> (runner, default trials alone, default trials under `verify all`)
@@ -200,3 +195,21 @@ CHECKS = {
     "mt": (_density_constant, None, None),
     "tardos-diamond": (_diamond_pattern_set, None, None),
 }
+
+
+def run_checks(check: str, trials: int | None, seed: int) -> dict:
+    """One check's result, or under "all" each check's in "checks" and "ok"
+    over them; `trials` replaces the default (alone or under "all") of each
+    check that has trials, and is refused below 1 or by one that has none."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    alone = check != "all"
+    if alone and trials is not None and CHECKS[check][1] is None:
+        raise ValueError(f"verify {check} takes no --trials")
+    results = {}
+    for name in [check] if alone else CHECKS:
+        runner, default = CHECKS[name][0], CHECKS[name][1 if alone else 2]
+        results[name] = runner(default if trials is None or default is None else trials, seed)
+    if alone:
+        return results[check]
+    return {"ok": all(r["ok"] for r in results.values()), "checks": results}

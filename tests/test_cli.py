@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from posetmatrix import diamond, dimension, dump_matrix, ex_exact, identity_matrix, realizer_to_matrix
+from posetmatrix import diamond, dimension, dump_matrix, ex_exact, extremal, identity_matrix, realizer_to_matrix
 from posetmatrix.cache import ResultCache
-from posetmatrix.cli import run
+from posetmatrix.cli import build_parser, run
 from posetmatrix.verify import CHECKS
 
 
@@ -273,6 +273,24 @@ def test_no_cache_without_cache_dir(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: --cache-dir needs a directory name\n")
 
 
+def test_cache_dir_that_is_not_a_directory_is_refused_before_any_search(tmp_path, capsys, monkeypatch):
+    # a search ran to the end before its result was lost at the first cache
+    # write; now the directory is checked first, and no search may run
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(extremal, "_mask_search", no_search)
+    pat = tmp_path / "id2.json"
+    dump_matrix(identity_matrix(2), pat)
+    for root in (pat, pat / "cache"):
+        for argv in (
+            ["ex", "--dims", "3,3", "--pattern", str(pat)],
+            ["la", "--n", "3", "--poset", "diamond"],
+        ):
+            code, out, err = invoke(capsys, "--cache-dir", str(root), *argv)
+            assert (code, out, err) == (2, "", f"error: --cache-dir {root}: not a directory\n")
+
+
 def test_no_cache_cancels_cache_dir(tmp_path, capsys):
     root = tmp_path / "cache"
     invoke_json(capsys, "--cache-dir", str(root), "--no-cache", "la", "--n", "3", "--poset", "diamond")
@@ -325,6 +343,30 @@ def test_bad_usage_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_run(tmp_path, capsys):
+    # the parser is built once per process; an argparse error and then two
+    # --pattern lists give a fresh parser's bytes: no list carries over
+    assert build_parser() is build_parser()
+    pats = {}
+    for k in (2, 3):
+        pats[k] = str(tmp_path / f"id{k}.json")
+        dump_matrix(identity_matrix(k), pats[k])
+    code, out, err = invoke(capsys, "ex", "--pattern", pats[2], "--dims")
+    assert (code, out) == (2, "")
+    assert err.endswith("\nposetmatrix ex: error: argument --dims: expected one argument\n")
+    for ks, digest in (
+        ((2, 3), "f3a460dbf358ac0ca9054bcea251dbbd2bbf6490e5c3ed05c31d56bc4cbcd110"),
+        ((3,), "8c88731724470bc49c8a2d7076f08b466dc9b6defbfa78f3245241dfa100a237"),
+    ):
+        argv = ["--no-cache", "ex", "--dims", "3,3"]
+        for k in ks:
+            argv += ["--pattern", pats[k]]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pattern_count"] == len(ks)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_commands_pass(capsys):
     for check, trials in (
         ("countp", None),
@@ -341,6 +383,35 @@ def test_verify_commands_pass(capsys):
         obj = invoke_json(capsys, *argv)
         assert obj["ok"] is True, check
         assert obj["seed"] == 0
+
+
+def test_grid_budget_reports_are_frozen(capsys):
+    # exact ex values against their linear budgets: 192n for the 2x2
+    # identity (Marcus-Tardos, k=2) and 4n for the diamond pattern set
+    assert invoke_json(capsys, "--no-cache", "verify", "mt") == {
+        "schema": 1,
+        "seed": 0,
+        "check": "density-constant",
+        "ok": True,
+        "values": [
+            {"n": 1, "value": 1, "bound": 192},
+            {"n": 2, "value": 3, "bound": 384},
+            {"n": 3, "value": 5, "bound": 576},
+            {"n": 4, "value": 7, "bound": 768},
+            {"n": 5, "value": 9, "bound": 960},
+        ],
+    }
+    assert invoke_json(capsys, "--no-cache", "verify", "tardos-diamond") == {
+        "schema": 1,
+        "seed": 0,
+        "check": "diamond-pattern-set",
+        "ok": True,
+        "values": [
+            {"n": 1, "value": 1, "bound": 4},
+            {"n": 2, "value": 3, "bound": 8},
+            {"n": 3, "value": 6, "bound": 12},
+        ],
+    }
 
 
 def test_verify_rejects_bad_trials(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -93,6 +94,48 @@ def test_builtin_parser():
     # leading zeros are not digits of the size
     assert builtin("chain:007") == chain(7)
     assert builtin("chain:" + "0" * 5000 + "7") == chain(7)
+
+
+def builtin_fingerprint(load, spec: str) -> str:
+    """sha256 of the sorted-key JSON of load(spec).to_obj(), or the text of
+    the ValueError that load raises."""
+    try:
+        text = json.dumps(load(spec).to_obj(), sort_keys=True)
+    except ValueError as exc:
+        return str(exc)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+UNKNOWN = "unknown poset 'zigzag'; use chain:k, antichain:k, diamond, vee:r, butterfly, boolean:m, or a JSON file path"
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("chain:007", "e2bc2638e11d14d73f5f441a122bfaadda45b9ac29dcbca3de190a937a99f270"),
+        pytest.param(
+            "chain:" + "0" * 5000 + "7",
+            "e2bc2638e11d14d73f5f441a122bfaadda45b9ac29dcbca3de190a937a99f270",
+            id="chain:<5000 zeros>7",
+        ),
+        ("boolean:11", "1b62ce4c66b199e2639f24a38c5ce710bd8bcf76ceaef2e96b61e33cfd3dc064"),
+        ("vee:2047", "c6dce9d2828d18edecd88acef05ace63b8d2889a958c85ff135da92927a57fc2"),
+        ("diamond", "17670dc91813f9071f6299b3e977fbcccc679bf7dc4ed29ea2f8e3f8e3d86dbb"),
+        ("butterfly", "bd003af4a20f4007072f419cb1c9e60e2b462f2749bc6c3de1a5b8ffab97a8b0"),
+        ("zigzag", UNKNOWN),
+        pytest.param(
+            "chain:" + "9" * 5000,
+            "poset chain:" + "9" * 5000 + " has more than 2048 elements",
+            id="chain:<5000 nines>",
+        ),
+    ],
+)
+def test_builtin_spellings_are_frozen(spec, want):
+    # every spelling goes through the one builtin table, by name or by
+    # load_poset (which reads an unknown name as a file path instead)
+    assert builtin_fingerprint(builtin, spec) == want
+    if want != UNKNOWN:
+        assert builtin_fingerprint(load_poset, spec) == want
 
 
 def test_validation_catches_bad_orders():
