@@ -24,6 +24,7 @@ from .extremal import ex_exact, la_exact
 from .family import load_family, lubell, shifted_lubell
 from .hypermatrix import load_matrix
 from .poset import (
+    BUILTIN_SPELLINGS,
     dimension,
     enumerate_patterns,
     height,
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poset", help="inspect a poset")
     p.set_defaults(handler=_cmd_poset)
     p.add_argument("action", choices=("info", "dimension", "matrix"))
-    p.add_argument("spec", help="builtin name (chain:k, antichain:k, diamond, vee:r, butterfly, boolean:m) or JSON file")
+    p.add_argument("spec", help=f"builtin name ({BUILTIN_SPELLINGS}) or JSON file")
 
     p = sub.add_parser("patterns", help="all 2-dim matrices ordering like a poset")
     p.set_defaults(handler=_cmd_patterns)

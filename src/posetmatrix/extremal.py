@@ -14,16 +14,20 @@ so ties break the same way every run and the reported witness is the
 lexicographically least maximum one.  A position may be taken unless it is
 the last of a mask whose other positions are all taken.  The bound counts
 live masks (no position decided out) whose undecided positions are pairwise
-disjoint: each forces one more position out.  Each node holds its live
-masks as one int bitset over mask indices, so the include test and the
-bound are a few bitset operations rather than a scan of the masks.  The
-bitset holds the masks in reverse order, the first at the highest bit: a
-live mask's last position is still undecided, so the live masks are the
-low bits, and the bitsets shrink as the search goes deeper and as the bound
-clears masks.  No mask may be empty.  The search builds its per-position
-bitsets in one bulk transposition of the masks (`embed.columns`) and lists
-a mask's positions only when the bound first takes it, so a long copy list
-costs little more than the copies the search touches.
+disjoint: each forces one more position out.  A position that no live mask
+holds, once taken, gets no exclude child (dominated exclusion): a free set
+leaving it out stays free with it added, as the masks through it are dead
+and the others do not hold it, so no maximum set lies under that child.
+Each node holds its live masks as one int bitset over mask indices, so the
+include test, the bound and the dominated exclusion are a few bitset
+operations rather than a scan of the masks.  The bitset holds the masks in
+reverse order, the first at the highest bit: a live mask's last position is
+still undecided, so the live masks are the low bits, and the bitsets shrink
+as the search goes deeper and as the bound clears masks.  No mask may be
+empty.  The search builds its per-position bitsets in one bulk
+transposition of the masks (`embed.columns`) and lists a mask's positions
+only when the bound first takes it, so a long copy list costs little more
+than the copies the search touches.
 
 The search also takes symmetries of the mask set, position permutations
 that are involutions, and cuts a node whose every completion one of them
@@ -279,9 +283,17 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
 
     Include-first search on an explicit stack, deciding cells in order, so
     the result is the first maximum set in search order: the
-    lexicographically least.  It cuts two kinds of node:
+    lexicographically least.  It cuts three kinds of node:
 
     - Bound: the node cannot beat the best so far.
+    - Dominated exclusion: the child leaving pos out, when the child taking
+      it is pushed and no live mask holds pos.  Every completion X of that
+      child extends to the free set X | {pos}: the masks through pos are
+      dead, and the others do not hold it.  So no maximum set, and not the
+      lexicographically least one, lies under that child.  This one test
+      against `live & out[pos]` halves the `ex` nodes (6x6 I2: 907 to 516)
+      and takes the 3-dim 2x2x2 identity on 5x5x5 from about 16.8M to
+      289,612.
     - Symmetry (lex-leader): for some sym, the decided cells already show
       that sym maps every completion X to a set the search reaches first.
       That holds when, at the first position where X and sym(X) differ,
@@ -369,7 +381,9 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
                     left ^= bit
                 else:
                     take = False
-        stack.append((pos + 1, cur, ones, live & out[pos], left))
+        kept = live & out[pos]
+        if not take or kept != live:  # else a dominated exclusion
+            stack.append((pos + 1, cur, ones, kept, left))
         if take:
             stack.append((pos + 1, cur | 1 << pos, ones + 1, live, tied))
     return best, best_cur
@@ -437,9 +451,14 @@ def tardos_diamond_check(n: int, **caps) -> DiamondBoundResult:
     the extremal value on the n x n grid is then at most 4n."""
     if n < 1:
         raise ValueError("n must be positive")
-    pats = enumerate_patterns(diamond(), 2)
-    value = ex_exact((n, n), pats, **caps).value
+    value = ex_exact((n, n), _diamond_patterns(), **caps).value
     return DiamondBoundResult(value, 4 * n, value <= 4 * n)
+
+
+@lru_cache(maxsize=1)
+def _diamond_patterns() -> tuple[HyperMatrix, ...]:
+    """The 16 diamond patterns, enumerated once per process."""
+    return tuple(enumerate_patterns(diamond(), 2))
 
 
 def random_free_matrix(dims, patterns, rng) -> HyperMatrix:

@@ -181,34 +181,34 @@ def boolean_lattice(m: int) -> Poset:
     return Poset(tuple(label), tuple(inclusion_tables(masks)[0]))
 
 
-# the builtins by name: a named poset maps to (builder, None), a sized kind,
-# spelled kind:k, to (builder of size k, its number of elements)
+# the builtins by spelling, in the order the `poset` help and the
+# unknown-name message list them: a named poset maps to (builder, None), a
+# sized kind, spelled kind:k, to (builder of size k, its number of elements)
 _BUILTINS = {
+    "chain:k": (chain, lambda k: k),
+    "antichain:k": (antichain, lambda k: k),
     "diamond": (diamond, None),
+    "vee:r": (vee, lambda r: r + 1),
     "butterfly": (butterfly, None),
-    "chain": (chain, lambda k: k),
-    "antichain": (antichain, lambda k: k),
-    "vee": (vee, lambda r: r + 1),
-    "boolean": (boolean_lattice, lambda m: 1 << m),
+    "boolean:m": (boolean_lattice, lambda m: 1 << m),
 }
-_SIZED = re.compile(r"^(\w+):(\d+)$")
+BUILTIN_SPELLINGS = ", ".join(_BUILTINS)
+_KINDS = {spelling.partition(":")[0]: entry for spelling, entry in _BUILTINS.items()}
+_SIZED = re.compile(r"(\w+):(\d+)")
 _BUILTIN_CAP = 2048  # elements
 
 
 def _builtin_entry(name: str):
     """(builder, size, digits) if name spells a builtin, digits None if named."""
-    kind, digits = m.groups() if (m := _SIZED.match(name)) else (name, None)
-    build, size = _BUILTINS.get(kind, (None, None))
+    kind, digits = m.groups() if (m := _SIZED.fullmatch(name)) else (name, None)
+    build, size = _KINDS.get(kind, (None, None))
     return (build, size, digits) if build and (size is None) == (digits is None) else None
 
 
 def builtin(name: str) -> Poset:
     """The poset that a builtin spelling names, looked up in `_BUILTINS`."""
     if not (found := _builtin_entry(name)):
-        raise ValueError(
-            f"unknown poset {name!r}; use chain:k, antichain:k, diamond, vee:r, "
-            "butterfly, boolean:m, or a JSON file path"
-        )
+        raise ValueError(f"unknown poset {name!r}; use {BUILTIN_SPELLINGS}, or a JSON file path")
     build, size, digits = found
     if digits is None:
         return build()

@@ -252,6 +252,9 @@ def symmetric_mask_lists(draw):
 # swapping 1, 5 and 2, 6 compares in order; wrong if a sym X has beaten
 # stays tied, or if syms that are no longer tied still cut
 @example((8, [6, 62, 96, 122, 170], [[0, 5, 6, 3, 4, 1, 2, 7]]))
+# cells 2 and 3 are in no mask, so each is taken with no exclude child,
+# while the sym compares them: cell 2 taken settles the tie at cell 3
+@example((4, [0b11], [[0, 1, 3, 2]]))
 def test_symmetric_mask_search_matches_trivial_group(instance):
     total, masks, syms = instance
     expected = brute_mask_search(total, masks)
@@ -646,6 +649,17 @@ def test_ex_frontier_witnesses():
     res = ex_exact((4, 4, 4), [identity_matrix(2, 3)], allow_over_cap=True)
     assert res.value == 37
     assert res.witness.ones == tuple(c for c in all_cells((4, 4, 4)) if 1 in c)
+
+
+def test_ex_frontier_witnesses_past_the_cut():
+    # the first instances that the dominated-exclusion cut brings into reach
+    # (657,916 and about 16.8M search nodes without it): the same witness shapes
+    res = ex_exact((7, 7), [identity_matrix(3)], allow_over_cap=True)
+    assert res.value == 24
+    assert res.witness.ones == tuple(c for c in all_cells((7, 7)) if min(c) <= 2)
+    res = ex_exact((5, 5, 5), [identity_matrix(2, 3)], allow_over_cap=True)
+    assert res.value == 61 == 5**3 - 4**3
+    assert res.witness.ones == tuple(c for c in all_cells((5, 5, 5)) if 1 in c)
 
 
 def test_la_generic_agrees_with_chain_shortcut():

@@ -35,7 +35,7 @@ from posetmatrix import (
 )
 from posetmatrix.family import cube_order
 from posetmatrix.hypermatrix import all_cells
-from posetmatrix.poset import DIMENSION_SIZE_CAP, _order_masks, load_poset_obj
+from posetmatrix.poset import BUILTIN_SPELLINGS, DIMENSION_SIZE_CAP, _order_masks, load_poset_obj
 from posetmatrix.rng import make_rng
 
 from conftest import (
@@ -136,6 +136,21 @@ def test_builtin_spellings_are_frozen(spec, want):
     assert builtin_fingerprint(builtin, spec) == want
     if want != UNKNOWN:
         assert builtin_fingerprint(load_poset, spec) == want
+
+
+def test_builtin_spellings_match_whole_names():
+    # `$` matches before a trailing newline too: "chain:3\n" once named
+    # chain(3), while "diamond\n" was read as a file name
+    for spec in ("chain:3\n", "diamond\n", "vee:2\n"):
+        with pytest.raises(ValueError, match="unknown poset"):
+            builtin(spec)
+
+
+def test_listed_builtin_spellings_all_build():
+    # the help and the unknown-name message list the one table's spellings
+    for spelling in BUILTIN_SPELLINGS.split(", "):
+        kind, _, size = spelling.partition(":")
+        assert builtin(f"{kind}:2" if size else kind).n >= 2
 
 
 def test_validation_catches_bad_orders():
