@@ -185,6 +185,22 @@ def test_copy_tables_and_search_results_are_frozen(instance, length, digest, res
     assert got == result
 
 
+# the `ex` rows of FROZEN_COPY_TABLES, and 6x6 I3 and the 6x6 diamond set
+# with (value, witness) frozen from the search without swaps: the axis swap
+# that `ex_exact` passes moves neither
+@pytest.mark.parametrize("instance, result", [
+    *((instance, result) for instance, _, _, result in FROZEN_COPY_TABLES if instance[0] == "ex"),
+    (("ex", (6, 6), "I3"), (20, 3272359935)),
+    (("ex", (6, 6), "diamond set"), (15, 3307542654)),
+])
+def test_ex_search_results_are_frozen_under_axis_swaps(instance, result):
+    _, dims, name = instance
+    pats = enumerate_patterns(diamond(), 2) if name == "diamond set" else [identity_matrix(int(name[1]))]
+    swaps = extremal._box_swaps(dims, pats)
+    assert len(swaps) == 1
+    assert extremal._mask_search(len(all_cells(dims)), occurrence_masks(dims, pats), swaps) == result
+
+
 @st.composite
 def mask_lists(draw):
     """A cell count of at most 10 and up to 12 distinct nonzero masks of 1 to
@@ -327,6 +343,81 @@ def test_mask_search_rejects_empty_mask():
     # every set holds an empty mask, so no answer would be right
     with pytest.raises(ValueError, match="at least one cell"):
         extremal._mask_search(3, [0, 0b11])
+
+
+def swap_axes(t, i, j):
+    """Tuple t with entries i and j exchanged."""
+    t = list(t)
+    t[i], t[j] = t[j], t[i]
+    return tuple(t)
+
+
+def next_equal_axes(dims):
+    """The pairs i < j of axes of equal length above 1 with no axis of that
+    length between them."""
+    return [
+        (i, j)
+        for i, j in combinations(range(len(dims)), 2)
+        if dims[i] == dims[j] > 1 and dims[i] not in dims[i + 1 : j]
+    ]
+
+
+@st.composite
+def swap_instances(draw):
+    """A box of dimension 2 or 3 with two equal sides or none, one to three
+    nonzero patterns, and in half the draws a pair of equal axes under whose
+    swap the patterns are closed by construction (else None)."""
+    dims = draw(st.sampled_from([
+        (1, 1), (2, 2), (3, 3), (2, 3), (2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (1, 3, 1), (3, 4, 3),
+    ]))
+    pats = []
+    for _ in range(draw(st.integers(1, 3))):
+        pdims = tuple(draw(st.integers(1, 3)) for _ in dims)
+        ones = draw(st.sets(st.sampled_from(all_cells(pdims)), min_size=1, max_size=4))
+        pats.append(HyperMatrix(pdims, tuple(ones)))
+    pairs = [(i, j) for i, j in combinations(range(len(dims)), 2) if dims[i] == dims[j]]
+    closed = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else None
+    if closed:
+        pats += [HyperMatrix(swap_axes(a.dims, *closed), [swap_axes(o, *closed) for o in a.ones]) for a in pats]
+    return dims, pats, closed
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(swap_instances())
+@example(((3, 4, 3), [identity_matrix(2, 3)], None))  # equal axes 1 and 3 are not adjacent
+@example(((2, 3, 2), [HyperMatrix((2, 1, 2), ((1, 1, 1), (1, 1, 2), (2, 1, 2)))], None))
+@example(((2, 2, 2), [identity_matrix(2, 3)], None))  # two swaps
+def test_ex_axis_swaps_are_symmetries(instance):
+    dims, pats, closed = instance
+    cells = all_cells(dims)
+    total = len(cells)
+    masks = brute_copies(dims, pats)
+    swaps = extremal._box_swaps(dims, pats)
+    for sym in swaps:
+        # an exchange of two equal axes that maps the copies onto themselves
+        assert any(
+            all(cells[sym[k]] == swap_axes(c, i, j) for k, c in enumerate(cells))
+            for i, j in next_equal_axes(dims)
+        )
+        assert sorted(sum(1 << sym[c] for c in range(total) if m >> c & 1) for m in masks) == masks
+    if closed in next_equal_axes(dims):
+        assert [cells.index(swap_axes(c, *closed)) for c in cells] in [list(sym) for sym in swaps]
+    expected = extremal._mask_search(total, masks)
+    assert extremal._mask_search(total, masks, swaps) == expected
+    if total <= 12:
+        assert expected == brute_mask_search(total, masks)
+
+
+@pytest.mark.parametrize("dims, pats, kept", [
+    ((3, 3), [mat("11", "01")], 0),  # not closed under the transpose
+    ((3, 3), [mat("11", "01"), mat("10", "11")], 1),  # A and its transpose
+    ((1, 1), [mat("1")], 0),  # the swap would move no cell
+    ((2, 3, 4), [identity_matrix(2, 3)], 0),  # no two sides equal
+    ((3, 4, 3), [identity_matrix(2, 3)], 1),  # axes 1 and 3
+    ((3, 3, 3), [identity_matrix(2, 3)], 2),  # axes 1, 2 and 2, 3
+])
+def test_ex_axis_swaps_kept(dims, pats, kept):
+    assert len(extremal._box_swaps(dims, pats)) == kept
 
 
 def test_ex_one_dim_full_patterns():
