@@ -14,10 +14,12 @@ so ties break the same way every run and the reported witness is the
 lexicographically least maximum one.  A position may be taken unless it is
 the last of a mask whose other positions are all taken.  The bound counts
 live masks (no position decided out) whose undecided positions are pairwise
-disjoint: each forces one more position out.  A position that no live mask
-holds gets no exclude child (dominated exclusion): a free set leaving it
-out stays free with it added, as the masks through it are dead and the
-others do not hold it, so no maximum set lies under that child.
+disjoint: each forces one more position out.  When none of the masks a
+node counts holds its position, both children would count the same masks,
+so the node hands the count down and they skip it.  A position that no
+live mask holds gets no exclude child (dominated exclusion): a free set
+leaving it out stays free with it added, as the masks through it are dead
+and the others do not hold it, so no maximum set lies under that child.
 Each node holds its live masks as one int bitset over mask indices, so the
 include test, the bound and the dominated exclusion are a few bitset
 operations rather than a scan of the masks.  The bitset holds the masks in
@@ -323,7 +325,8 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
 
     Include-first search on an explicit stack, deciding cells in order, so
     the result is the first maximum set in search order: the
-    lexicographically least.  It cuts three kinds of node:
+    lexicographically least.  It cuts three kinds of node, and often makes
+    the first cut without packing afresh:
 
     - Bound: the node cannot beat the best so far.
     - Dominated exclusion: the child leaving pos out, when no live mask
@@ -339,6 +342,20 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
       sym(X) takes the cell.  Every sym maps a maximum set to a maximum
       set, none of which the search reaches before the first one it finds,
       so that one is never cut: the result does not depend on `syms`.
+    - Packing handed down: a node whose bound counted masks that hold no
+      cell at pos hands their number, and the lowest cell they hold at or
+      above pos, to both children, which cut exactly when that number
+      reaches their own slack and skip their own packing.  That packing would count the same masks
+      in the same order and end with no free mask left.  In the child taking
+      pos, `live` is the same and each counted mask has the same cells at or
+      above pos + 1.  In the child leaving pos out, the counted masks miss
+      pos, so they stay live, and at each step the one counted is still the
+      highest free bit, as the child's free masks are among the parent's.
+      So a child hands the packing on while its lowest cell is above the
+      child's pos; a node whose packing holds pos, or that did not pack as
+      fewer live masks than slack were left, has its children pack afresh.
+      Node decisions do not change, and the packing is skipped at 29% to
+      50% of the `ex` nodes that reach the bound (6x6 I2: 132 of 458).
 
     Each node carries `live`, the masks with no cell decided out, as a
     bitset with mask i at bit M-1-i (M masks): the reverse of index order.
@@ -389,29 +406,38 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
     start = [size - bisect_left(masks, 1 << pos) for pos in range(total + 1)]
     top = [(1 << start[pos]) - (1 << start[pos + 1]) for pos in range(total)]
     best, best_cur = floor, 0
-    # next cell, chosen cells, their number, live masks, tied syms
-    stack = [(0, 0, 0, full, (1 << len(syms)) - 1)]
+    # next cell, chosen cells, their number, live masks, tied syms, and the
+    # packing handed down: its number of masks (-1: pack afresh) and the
+    # lowest cell they hold at or above pos
+    stack = [(0, 0, 0, full, (1 << len(syms)) - 1, -1, total)]
     while stack:
-        pos, cur, ones, live, tied = stack.pop()
+        pos, cur, ones, live, tied, packed, low = stack.pop()
         slack = ones + total - pos - best
         if slack <= 0:
             continue
         if pos == total:
             best, best_cur = ones, cur
             continue
-        # live masks sharing no undecided cell with a counted one; fewer
-        # live masks than slack cannot cut the node
-        free = live if live.bit_count() >= slack else 0
-        while free:
-            slack -= 1
-            if not slack:
-                break
-            for c in cells[free.bit_length() - 1] or _list_cells(cells, masks, free):
-                if c < pos:
+        # live masks sharing no undecided cell with a counted one, unless
+        # the parent handed its packing down; fewer live masks than slack
+        # cannot cut the node
+        if packed < 0 and live.bit_count() >= slack:
+            free, packed, low = live, 0, total
+            while free:
+                packed += 1
+                if packed == slack:
                     break
-                free &= out[c]
-        if not slack:
+                for c in cells[free.bit_length() - 1] or _list_cells(cells, masks, free):
+                    if c < pos:
+                        break
+                    free &= out[c]
+                    last = c
+                if last < low:
+                    low = last
+        if packed >= slack:
             continue
+        # a packing that holds no cell at pos is each child's own
+        hand = packed if low > pos else -1
         left = tied
         take = not live & top[pos]
         for bit, c in waits[pos]:
@@ -422,9 +448,9 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
                     take = False
         kept = live & out[pos]
         if kept != live:  # else a dominated exclusion
-            stack.append((pos + 1, cur, ones, kept, left))
+            stack.append((pos + 1, cur, ones, kept, left, hand, low))
         if take:
-            stack.append((pos + 1, cur | 1 << pos, ones + 1, live, tied))
+            stack.append((pos + 1, cur | 1 << pos, ones + 1, live, tied, hand, low))
     return best, best_cur
 
 

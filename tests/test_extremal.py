@@ -229,6 +229,12 @@ def brute_mask_search(total, masks):
 # wrong if the bound counts a mask sharing a lower undecided cell with one
 # already counted
 @example((10, [1, 43, 68, 132, 136, 264, 278, 323, 520, 592]))
+# the root counts the masks {0} and {1}; wrong if it hands them down though
+# {0} holds cell 0 (the off-by-one `low >= pos`): they cut cell 1's node
+@example((2, [0b1, 0b10, 0b11]))
+# wrong if a packing is handed down whatever cells it holds: the root's {0}
+# and {1} reach cell 2's node and cut the one free set, {2}
+@example((3, [0b1, 0b10, 0b11, 0b101]))
 def test_mask_search_matches_brute_force(instance):
     total, masks = instance
     assert extremal._mask_search(total, masks) == brute_mask_search(total, masks)
@@ -462,6 +468,15 @@ def test_ex_seven_by_seven_identity():
     res = ex_exact((7, 7), [id2], allow_over_cap=True)
     assert res.value == res.witness.weight == 13
     assert not brute_contains(res.witness, id2)
+
+
+def test_ex_identity_four():
+    # (k-1)(2n-k+1) for I_k on n x n; the lex-least witness is the cells
+    # with a coordinate at most 3
+    for n, value in ((5, 21), (6, 27), (7, 33)):
+        res = ex_exact((n, n), [identity_matrix(4)], allow_over_cap=True)
+        assert res.value == value == 3 * (2 * n - 3)
+        assert res.witness.ones == tuple(c for c in all_cells((n, n)) if min(c) <= 3)
 
 
 def test_ex_rejects_bad_input():
