@@ -6,7 +6,8 @@ union; the 0-1 matrix of which index vectors land inside a set family is the
 bridge between family problems and pattern problems.  The randomized
 freeness check reads the n-cube's induced copies of a poset from one table
 per (n, poset) (`embed.columns` of the copies), so its trials run no
-embedding search.
+embedding search; a trial whose matrix is too small for the pattern makes
+its draws and stops, building no matrix.
 """
 
 from __future__ import annotations
@@ -187,11 +188,12 @@ def prefix_matrix_freeness_check(
     """Randomized check: a family with no induced copy of p yields a
     prefix-union matrix avoiding the poset's permutation matrix.
 
-    Each trial draws a random family, deletes a random member of the first
-    induced copy of p until there is none (the first cube copy holding no
-    absent set, see `_cube_copies`), draws a random partition, and tests the
-    matrix.  The family stays a bitset over the masks and the matrix a list
-    of index vectors; only a violation is reported as a partition and sets.
+    Each trial makes the draws of `_draw_trials` (a pruned random family and
+    a random partition) and tests the matrix.  A trial whose matrix is too
+    small for the pattern along some axis (see `_fits`) stops after its
+    draws: it cannot contain the pattern, so it builds no matrix.  The family
+    stays a bitset over the masks and the matrix a list of index vectors;
+    only a violation is reported as a partition and sets.
     """
     if json_int(trials, "trial count") < 1:
         raise ValueError(f"need trials >= 1, got trials={trials}")
@@ -202,25 +204,10 @@ def prefix_matrix_freeness_check(
         raise ValueError("need a realizer with at least 2 linear orders")
     pattern = realizer_to_matrix(p, r)
     rng = make_rng(seed, f"freeness:{n}:{d}")
-    copies, holding = _cube_copies(n, p)
-    total = len(copies)
-    full = (1 << total) - 1
     violations = []
-    for trial in range(trials):
-        keep = dead = 0
-        for m in range(1 << n):
-            if rng.random() < 0.5:
-                keep |= 1 << m
-            else:
-                dead |= holding[m]
-        live = full ^ dead
-        while live:
-            t = rng.choice(copies[total - live.bit_length()])
-            keep ^= 1 << t
-            live &= full ^ holding[t]
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        marks = sorted(rng.sample(range(n + d - 1), d - 1))
+    for trial, (keep, perm, marks) in enumerate(_draw_trials(rng, trials, n, d, p)):
+        if not _fits(pattern.dims, marks, n):
+            continue
         parts = _runs(perm, [m - j for j, m in enumerate(marks)])
         dims, ones = _prefix_union_ones(parts, lambda u: keep >> u & 1)
         if _match(dims, ones, pattern.dims, pattern.ones):
@@ -232,6 +219,44 @@ def prefix_matrix_freeness_check(
                 }
             )
     return FreenessReport(trials, seed, violations)
+
+
+def _draw_trials(rng, trials: int, n: int, d: int, p: Poset):
+    """Each trial's draws, in stream order: `keep`, a random family of
+    subsets of {1..n} as a bitset over the masks, pruned by deleting a random
+    member of its first induced copy of p until there is none (the first
+    cube copy holding no absent set, see `_cube_copies`); `perm`, a shuffled
+    permutation of 1..n; and `marks`, the d-1 sorted bar positions among
+    n+d-1 slots that cut perm into d runs."""
+    copies, holding = _cube_copies(n, p)
+    total = len(copies)
+    full = (1 << total) - 1
+    random = rng.random
+    for _ in range(trials):
+        keep = dead = 0
+        for m in range(1 << n):
+            if random() < 0.5:
+                keep |= 1 << m
+            else:
+                dead |= holding[m]
+        live = full ^ dead
+        while live:
+            t = rng.choice(copies[total - live.bit_length()])
+            keep ^= 1 << t
+            live &= full ^ holding[t]
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        yield keep, perm, sorted(rng.sample(range(n + d - 1), d - 1))
+
+
+def _fits(pattern_dims, marks, n: int) -> bool:
+    """Whether the prefix-union matrix of the runs cut at these bar positions
+    (among n + len(marks) slots) is at least as long as the pattern on every
+    axis: run i lies between bars i-1 and i (sentinels -1 and n + len(marks)),
+    and its side, one more than its length, is their distance.  This is the
+    size test `_match` makes first."""
+    bars = (-1, *marks, n + len(marks))
+    return all(k <= b - a for k, a, b in zip(pattern_dims, bars, bars[1:]))
 
 
 @lru_cache(maxsize=16)  # `verify counta` checks three posets at one n

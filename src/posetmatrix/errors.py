@@ -28,15 +28,21 @@ def json_int(value, what: str) -> int:
 
 
 def load_json_file(path, what: str, build):
-    """build(obj) on the JSON document in the file at path; bad JSON, and a
-    TypeError while building (a field of the wrong type), raise
-    InvariantError naming `what`."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvariantError(f"{what} file is valid JSON", str(exc)) from exc
+    """build(obj) on the JSON document in the file at path.  Bad JSON or
+    UTF-8, and a TypeError while building (a field of the wrong type), raise
+    InvariantError naming `what`; these and build's own ValueErrors (its
+    InvariantErrors among them) keep their type and one line, with the path
+    put first, so that a run over many files names the bad one."""
     try:
-        return build(obj)
-    except TypeError as exc:
-        raise InvariantError(f"{what} file field types", str(exc)) from exc
+        with open(path) as fh:
+            try:
+                obj = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise InvariantError(f"{what} file is valid JSON", str(exc)) from exc
+        try:
+            return build(obj)
+        except TypeError as exc:
+            raise InvariantError(f"{what} file field types", str(exc)) from exc
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

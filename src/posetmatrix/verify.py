@@ -122,10 +122,11 @@ def _projection_product(trials, seed) -> dict:
     cells = all_cells(dims)
     bits = [1 << i for i in range(len(cells))]
     layers = _first_layers(dims)
+    random = rng.random
     failures = []
     for trial in range(trials):
         density = rng.uniform(0.02, 0.3)
-        kept = sum(bit for bit in bits if rng.random() < density)
+        kept = sum(bit for bit in bits if random() < density)
         if kept.bit_count() ** 2 > prod(_projection_sizes(kept, layers)):
             ones = [list(c) for c, bit in zip(cells, bits) if kept & bit]
             failures.append({"trial": trial, "ones": ones})
@@ -144,7 +145,7 @@ def _block_decomposition(trials, seed) -> dict:
         ones = _random_free_ones(dims, (pattern,), rng)
         side = rng.choice((1, 2))
         grid, wide, thin = _block_classes(dims, ones, pattern.dims, pattern.ones, side)
-        for axis in (1, 2):
+        for axis in (1, 2) if wide else ():
             for key, count in _wide_count(wide, axis).items():
                 if count > limits[side]:
                     failures.append(

@@ -94,6 +94,42 @@ def test_ex_malformed_pattern_file(tmp_path, capsys):
     assert "valid JSON" in err
 
 
+def test_input_file_errors_name_the_file(tmp_path, capsys):
+    # a pattern set is many files: each error says which one is bad, on one
+    # line, whether the JSON, a field's type or an invariant is at fault
+    cases = [
+        (("ex", "--dims", "3,3", "--pattern-set"), "{oops", "matrix file is valid JSON: "),
+        (("ex", "--dims", "3,3", "--pattern-set"), b"\xff\xfe", "matrix file is valid JSON: "),
+        (("ex", "--dims", "3,3", "--pattern-set"), {"dims": 5, "ones": []}, "matrix file field types: "),
+        (
+            ("ex", "--dims", "3,3", "--pattern-set"),
+            {"elements": ["a"], "covers": []},
+            'matrix object shape: need "dims" and "ones" keys',
+        ),
+        (
+            ("ex", "--dims", "3,3", "--pattern-set"),
+            {"dims": [2, 2], "ones": [[3, 1]]},
+            "coordinate within dims: (3, 1) outside (2, 2)",
+        ),
+        (("poset", "info"), {"elements": ["a"], "covers": [["a", "b"]]}, ""),
+        (("lubell", "--family"), {"n": 2, "sets": [[3]]}, ""),
+    ]
+    for i, (argv, content, message) in enumerate(cases):
+        where = tmp_path / str(i)
+        where.mkdir()
+        dump_matrix(identity_matrix(2), where / "a.json")
+        bad = where / "b.json"
+        if isinstance(content, dict):
+            content = json.dumps(content)
+        if isinstance(content, str):
+            content = content.encode()
+        bad.write_bytes(content)
+        target = where if argv[-1] == "--pattern-set" else bad
+        code, out, err = invoke(capsys, "--no-cache", *argv, str(target))
+        assert (code, out) == (2, ""), (argv, content)
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1, err
+
+
 def test_wrongly_typed_input_fields_exit_two(tmp_path, capsys):
     cases = [
         (("poset", "info"), {"elements": ["a", "b"], "covers": [[["a"], "b"]]}),
@@ -166,7 +202,7 @@ def test_lubell_refuses_an_element_listed_twice_in_one_set(tmp_path, capsys):
     fam.write_text(json.dumps({"n": 3, "sets": [[1, 1], [2, 1]]}))
     code, out, err = invoke(capsys, "--no-cache", "lubell", "--family", str(fam))
     assert (code, out) == (2, "")
-    assert err == "error: duplicate set element: 1 twice in [1, 1]\n"
+    assert err == f"error: {fam}: duplicate set element: 1 twice in [1, 1]\n"
     # an unsorted set is still one set
     fam.write_text(json.dumps({"n": 3, "sets": [[1], [2, 1]]}))
     assert invoke_json(capsys, "lubell", "--family", str(fam))["lubell"] == "2/3"
@@ -465,6 +501,21 @@ def test_verify_counta_frozen_bytes(capsys, seed, digest):
     # each deletion draws from the first live copy of the cube's table, so a
     # table that gave another first copy would change these bytes
     code, out, err = invoke(capsys, "--no-cache", "--seed", seed, "verify", "counta", "--trials", "334")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        ("0", "744ec67a668356c1c8d23fe859c7f05914bba106079e5cf8542d325bf79a565d"),
+        ("3", "5c725eff84466c5a917fa890f30632b36a21a2ce9c805c3e6d4296a130154be6"),
+    ],
+)
+def test_verify_counta_frozen_bytes_at_2000_trials(capsys, seed, digest):
+    # at 2000 trials hundreds of `vee:2` matrices fit its 3x3 pattern, so
+    # these bytes hold the draws of many trials that build their matrix
+    code, out, err = invoke(capsys, "--no-cache", "--seed", seed, "verify", "counta", "--trials", "2000")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

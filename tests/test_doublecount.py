@@ -3,6 +3,8 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetmatrix import (
     CapExceeded,
@@ -273,24 +275,44 @@ def _delete_and_rebuild(p, d, trials, n, seed):
     return out, drops
 
 
-def _record_matrices(monkeypatch) -> list:
-    """The (partition, family) pairs the freeness check tests, as it goes,
-    rebuilt from the runs and the membership test its matrix helper gets."""
+def _stars_and_bars(perm, marks) -> tuple[tuple[int, ...], ...]:
+    """perm read into runs across len(perm) + len(marks) slots: a slot in
+    marks is a bar that starts the next run, any other takes perm's next entry."""
+    entries = iter(perm)
+    parts = [[]]
+    for slot in range(len(perm) + len(marks)):
+        if slot in marks:
+            parts.append([])
+        else:
+            parts[-1].append(next(entries))
+    return tuple(map(tuple, parts))
+
+
+def _record_draws(monkeypatch) -> list:
+    """The (partition, family) pair of every trial the freeness check runs,
+    as it goes, rebuilt from the draws it consumes, whether or not the trial
+    goes on to build a matrix."""
     seen = []
-    ones = doublecount._prefix_union_ones
+    draw = doublecount._draw_trials
 
-    def record(parts, member):
-        n = sum(map(len, parts))
-        fam = SetFamily(n, tuple(m for m in range(1 << n) if member(m)))
-        seen.append((PermutationPartition(n, parts), fam))
-        return ones(parts, member)
+    def record(rng, trials, n, d, p):
+        for keep, perm, marks in draw(rng, trials, n, d, p):
+            fam = SetFamily(n, tuple(m for m in range(1 << n) if keep >> m & 1))
+            seen.append((PermutationPartition(n, _stars_and_bars(perm, marks)), fam))
+            yield keep, perm, marks
 
-    monkeypatch.setattr(doublecount, "_prefix_union_ones", record)
+    monkeypatch.setattr(doublecount, "_draw_trials", record)
     return seen
 
 
+def _fits_sides(q, sides) -> bool:
+    """Whether the prefix-union matrix of q is at least as long as the
+    pattern on every axis: a run of length l gives l+1 indices."""
+    return all(len(part) + 1 >= side for part, side in zip(q.parts, sides))
+
+
 def test_freeness_check_matches_delete_and_rebuild(monkeypatch):
-    seen = _record_matrices(monkeypatch)
+    seen = _record_draws(monkeypatch)
     drops = 0
     for name in ("diamond", "vee:2", "butterfly", "antichain:2"):
         p = builtin(name)
@@ -303,6 +325,68 @@ def test_freeness_check_matches_delete_and_rebuild(monkeypatch):
                 assert seen == want, (name, n, seed)
                 drops += dropped
     assert drops > 0
+
+
+def test_freeness_check_builds_a_matrix_only_for_fitting_trials(monkeypatch):
+    # a trial too small for the pattern on some axis stops after its draws;
+    # every other trial builds its matrix, in trial order
+    seen = _record_draws(monkeypatch)
+    built = []
+    ones = doublecount._prefix_union_ones
+
+    def record(parts, member):
+        built.append(parts)
+        return ones(parts, member)
+
+    monkeypatch.setattr(doublecount, "_prefix_union_ones", record)
+    counts = Counter()
+    for name in ("diamond", "vee:2", "butterfly"):
+        p = builtin(name)
+        _, realizer = dimension(p)
+        sides = realizer_to_matrix(p, realizer).dims
+        for n in (4, 5, 6):
+            seen.clear()
+            built.clear()
+            prefix_matrix_freeness_check(p, realizer, 40, n=n, seed=n)
+            assert len(seen) == 40
+            fits = [q.parts for q, _ in seen if _fits_sides(q, sides)]
+            assert built == fits, (name, n)
+            counts["built"] += len(fits)
+            counts["skipped"] += 40 - len(fits)
+    assert min(counts.values()) >= 40, counts
+
+
+def test_freeness_check_reports_exactly_the_fitting_trials(monkeypatch):
+    # with every matrix taken for a violation, the report lists each trial
+    # that fits, in order and in the check's report format; at n=6 some
+    # 2-part matrices fit diamond's 4x4 pattern and some do not
+    monkeypatch.setattr(doublecount, "_match", lambda *args: True)
+    p = diamond()
+    _, realizer = dimension(p)
+    sides = realizer_to_matrix(p, realizer).dims
+    report = prefix_matrix_freeness_check(p, realizer, 60, n=6, seed=0)
+    draws, _ = _delete_and_rebuild(p, 2, 60, 6, 0)
+    want = [
+        {"trial": trial, "partition": format_partition(q), "family": fam.to_obj()["sets"]}
+        for trial, (q, fam) in enumerate(draws)
+        if _fits_sides(q, sides)
+    ]
+    assert 0 < len(want) < 60
+    assert report == (60, 0, want)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_fit_from_the_marks_is_the_matrix_size_test(data):
+    n, d = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 3))
+    marks = sorted(data.draw(st.permutations(range(n + d - 1)))[: d - 1])
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    pattern_dims = tuple(data.draw(st.lists(st.integers(1, n + 2), min_size=d, max_size=d)))
+    parts = doublecount._runs(perm, [m - j for j, m in enumerate(marks)])
+    assert parts == _stars_and_bars(perm, marks)
+    dims, _ = doublecount._prefix_union_ones(parts, lambda u: True)
+    too_small = any(k > s for k, s in zip(pattern_dims, dims))
+    assert doublecount._fits(pattern_dims, marks, n) is not too_small
 
 
 @pytest.mark.parametrize("name", ["diamond", "vee:2", "butterfly", "antichain:2"])
@@ -325,7 +409,7 @@ def test_cube_copies_holding_matches_copies(name, n):
 
 
 def test_freeness_check_memo_keeps_no_state(monkeypatch):
-    seen = _record_matrices(monkeypatch)
+    seen = _record_draws(monkeypatch)
     p = diamond()
     _, realizer = dimension(p)
     labels = p.elements
