@@ -18,6 +18,11 @@ automorphism whose least moved element is i, e is below e∘σ exactly when
 e(i) < e(σ(i)).  The pairs (i, σ(i)) come from the same search run of the
 source into itself, once per poset.
 
+Whether an element's image must lie above, below or apart from each earlier
+element's image depends only on the source and the mode: it is worked out
+once per poset, and each search binds it to its tables once, so a candidate
+set is one AND per earlier element.
+
 The search yields an embedding as a tuple of target indices
 (`order_embeddings`), or as its image, the bitset of targets it already
 holds (`order_images`, which lists the copies of a poset in the cube
@@ -142,56 +147,79 @@ def _orbit_cuts(up: tuple[int, ...], down: tuple[int, ...]) -> tuple[tuple[int, 
     return tuple(map(tuple, after))
 
 
+@lru_cache(maxsize=1024)
+def _cut_kinds(up: tuple[int, ...], down: tuple[int, ...], induced: bool) -> tuple:
+    """For each source element x, a pair (kind, y) per earlier element y
+    that constrains x's image: kind 0 when x is above y (the image lies in
+    sup of y's image), 1 when below (in sub), 2 when the two are apart and
+    the mode is induced (in neither).  Worked out once per poset and mode."""
+    return tuple(
+        tuple(
+            (0 if down[x] >> y & 1 else 1 if up[x] >> y & 1 else 2, y)
+            for y in range(x)
+            if induced or (up[x] | down[x]) >> y & 1
+        )
+        for x in range(len(up))
+    )
+
+
 def _search(up, down, sup, sub, allowed: list[int], induced: bool, after, images=False):
     """The embeddings of the source (tables up, down) into the targets,
     element x going into allowed[x] and above the image of every element of
     after[x], in lexicographic order: as tuples of targets, or with `images`
-    as the bitsets of their targets."""
+    as the bitsets of their targets.
+
+    The source's cut kinds (`_cut_kinds`) are bound once to this call's
+    sup, sub and, in induced mode, `~(sup | sub)`, so a candidate set is
+    one AND per earlier element.  Each candidate of the last element
+    completes an embedding; they are yielded in one inner loop."""
     k = len(up)
     if k == 0:
         yield 0 if images else ()
         return
+    kinds = _cut_kinds(up, down, induced)
+    tables = [sup, sub]
+    if induced:
+        tables.append([~(a | b) for a, b in zip(sup, sub)])
+    ties = [[(tables[kind], y) for kind, y in row] for row in kinds]
     assign = [0] * k
-
-    def candidates(x: int, used: int) -> int:
+    # depth-first on an explicit stack over elements 0..last-1: left[x]
+    # holds the untried candidates of element x, used the targets of
+    # elements 0..x-1, cand the candidates of x
+    last = k - 1
+    left = [0] * k
+    x, used = -1, 0
+    while True:
+        x += 1
         cand = allowed[x] & ~used
         for i in after[x]:
             cand &= -(2 << assign[i])
-        below, above = down[x], up[x]
-        for y in range(x):
-            t = assign[y]
-            if below >> y & 1:
-                cand &= sup[t]
-            elif above >> y & 1:
-                cand &= sub[t]
-            elif induced:
-                cand &= ~(sup[t] | sub[t])
+        for table, y in ties[x]:
+            cand &= table[assign[y]]
             if not cand:
                 break
-        return cand
-
-    # depth-first on an explicit stack: left[x] holds the untried candidates
-    # of element x, used the targets of elements 0..x-1
-    last = k - 1
-    left = [0] * k
-    left[0] = candidates(0, 0)
-    x, used = 0, 0
-    while x >= 0:
-        cand = left[x]
-        if not cand:
+        if x == last:
+            if images:
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    yield used | low
+            else:
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    assign[x] = low.bit_length() - 1
+                    yield tuple(assign)
+        while not cand:
             x -= 1
-            if x >= 0:
-                used ^= 1 << assign[x]
-            continue
+            if x < 0:
+                return
+            used ^= 1 << assign[x]
+            cand = left[x]
         low = cand & -cand
         left[x] = cand ^ low
         assign[x] = low.bit_length() - 1
-        if x == last:
-            yield used | low if images else tuple(assign)
-        else:
-            used |= low
-            x += 1
-            left[x] = candidates(x, used)
+        used |= low
 
 
 def find_order_embedding(p, targets, induced: bool) -> tuple[int, ...] | None:

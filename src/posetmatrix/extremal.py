@@ -352,22 +352,26 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
       pos, so they stay live, and at each step the one counted is still the
       highest free bit, as the child's free masks are among the parent's.
       So a child hands the packing on while its lowest cell is above the
-      child's pos; a node whose packing holds pos, or that did not pack as
-      fewer live masks than slack were left, has its children pack afresh.
-      Node decisions do not change, and the packing is skipped at 29% to
-      50% of the `ex` nodes that reach the bound (6x6 I2: 132 of 458).
+      child's pos; a node whose packing holds pos has its children pack
+      afresh.  A node with fewer live masks than slack packs too, though it
+      cannot cut: like every packing that does not cut, it runs until no
+      free mask is left, so its count is handed down like any other.  Node
+      decisions do not change, and the packing is skipped at 19% to 73% of
+      the `ex` nodes that reach the bound (6x6 I2: 132 of 458; 3x3x3 I2: 24
+      of 34).
 
     Each node carries `live`, the masks with no cell decided out, as a
     bitset with mask i at bit M-1-i (M masks): the reverse of index order.
     A cell may be taken unless a live mask has it as its highest cell: every
     other cell of such a mask is taken.  So a live mask's highest cell is
     at least pos, and as the masks are sorted, the live ones sit in the low
-    bits and `live` gets shorter as pos advances.  The bound takes the live
-    masks in index order, skipping any that shares an undecided cell with
-    one already taken; each forces one more cell out.  The least index left
-    is the highest bit, found without building a new int, and the bitsets
-    that clear masks are non-negative, so each step costs only the length
-    of what is left.
+    bits and `live` gets shorter as pos advances: pos may be taken when
+    `live` is no longer than the bits of the masks ending after pos.  The
+    bound takes the live masks in index order, skipping any that shares an
+    undecided cell with one already taken; each forces one more cell out.
+    The least index left is the highest bit, found without building a new
+    int, and the bitsets that clear masks are non-negative, so each step
+    costs only the length of what is left.
 
     `out[c]`, the live masks kept when cell c is decided out, is the
     complement of column c of the masks (`embed.columns`, built in bulk).
@@ -385,7 +389,7 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
     lower cell is taken loses to X in the child leaving pos out (its bit is
     cleared); one whose lower cell is left out cuts the child taking pos.
     """
-    if 0 in masks:
+    if masks and not masks[0]:
         raise ValueError("every mask must hold at least one cell")
     waits = [[] for _ in range(total)]
     for k, sym in enumerate(syms):
@@ -404,7 +408,6 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
     # masks are sorted, so those with highest cell at least pos are the bits
     # below start[pos], and those with highest cell pos a range of bits
     start = [size - bisect_left(masks, 1 << pos) for pos in range(total + 1)]
-    top = [(1 << start[pos]) - (1 << start[pos + 1]) for pos in range(total)]
     best, best_cur = floor, 0
     # next cell, chosen cells, their number, live masks, tied syms, and the
     # packing handed down: its number of masks (-1: pack afresh) and the
@@ -419,9 +422,8 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
             best, best_cur = ones, cur
             continue
         # live masks sharing no undecided cell with a counted one, unless
-        # the parent handed its packing down; fewer live masks than slack
-        # cannot cut the node
-        if packed < 0 and live.bit_count() >= slack:
+        # the parent handed its packing down
+        if packed < 0:
             free, packed, low = live, 0, total
             while free:
                 packed += 1
@@ -439,7 +441,8 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
         # a packing that holds no cell at pos is each child's own
         hand = packed if low > pos else -1
         left = tied
-        take = not live & top[pos]
+        # no live mask ends at pos
+        take = live.bit_length() <= start[pos + 1]
         for bit, c in waits[pos]:
             if tied & bit:
                 if cur >> c & 1:

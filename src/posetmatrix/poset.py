@@ -83,13 +83,15 @@ class Poset:
 
     @cached_property
     def height(self) -> int:
-        """Number of elements in a longest chain: how many times the maximal
-        elements of what is left can be peeled off."""
-        rest, h = (1 << self.n) - 1, 0
-        while rest:
-            rest &= ~sum(1 << i for i in range(self.n) if rest >> i & 1 and not self.up[i] & rest)
-            h += 1
-        return h
+        """Number of elements in a longest chain: one pass over the covers
+        (i, j), by how many elements lie below j, so every cover into i
+        comes before those out of i; chain[j] is the longest chain ending
+        at j."""
+        below = [d.bit_count() for d in self.down]
+        chain = [1] * self.n
+        for i, j in sorted(self.covers, key=lambda c: below[c[1]]):
+            chain[j] = max(chain[j], chain[i] + 1)
+        return max(chain, default=0)
 
     def to_obj(self) -> dict:
         return {

@@ -235,6 +235,10 @@ def brute_mask_search(total, masks):
 # wrong if a packing is handed down whatever cells it holds: the root's {0}
 # and {1} reach cell 2's node and cut the one free set, {2}
 @example((3, [0b1, 0b10, 0b11, 0b101]))
+# fewer masks live than slack: the node still packs and hands its count
+# down, which cuts children; wrong if that count is one too many
+@example((3, [0b11, 0b101]))
+@example((6, [0b1000, 0b1110, 0b10000]))
 def test_mask_search_matches_brute_force(instance):
     total, masks = instance
     assert extremal._mask_search(total, masks) == brute_mask_search(total, masks)
