@@ -44,8 +44,7 @@ with the next axis of the same length (`_axis_swaps`, built once per box
 shape), keeping those under which the set of patterns maps onto itself, as
 I_k, the d-dim 2x...x2 identity and every poset's full pattern set do
 (`_box_swaps`); such a swap maps the box's copies onto themselves, and it
-halves the search nodes on the larger boxes (7x7 I3: 159,296 to 78,329;
-5x5x5 with the 2x2x2 identity: 289,612 to 151,668).  Likewise a floor
+about halves the search nodes on the larger boxes.  Likewise a floor
 below the size of a free set already known moves no value or witness; only
 `la_exact` gives one (`_la_incumbent`).
 
@@ -334,8 +333,8 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
       free set X | {pos}: the masks through pos are dead, and the others do
       not hold it.  So no maximum set lies under that child, whether or not
       a symmetry cuts the child taking pos.  This one test against
-      `live & out[pos]` halves the `ex` nodes (6x6 I2: 907 to 516) and
-      takes the 3-dim 2x2x2 identity on 5x5x5 from about 16.8M to 289,612.
+      `live & out[pos]` about halves the `ex` nodes, and it is what brings
+      the 3-dim 2x2x2 identity on 5x5x5 into reach.
     - Symmetry (lex-leader): for some sym, the decided cells already show
       that sym maps every completion X to a set the search reaches first.
       That holds when, at the first position where X and sym(X) differ,

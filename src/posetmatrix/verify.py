@@ -134,20 +134,21 @@ def _projection_product(trials, seed) -> dict:
 
 
 def _block_decomposition(trials, seed) -> dict:
-    """Random pattern-free hosts: wide-block counts under the cap, coarse
-    matrix still free.  Hosts and coarse matrices stay lists of their 1s."""
+    """Random I2-free hosts cut into 2x2 blocks: at most one wide block per
+    blockcolumn, the limit every trial reaches, and the coarse matrix of the
+    thin blocks still free.  Hosts and coarse matrices stay lists of their 1s."""
     rng = make_rng(seed, "verify:blocks")
     pattern = identity_matrix(2)
-    limits = {side: wide_block_limit(pattern, side) for side in (1, 2)}
+    side = 2
+    limit = wide_block_limit(pattern, side)
     failures = []
     for trial in range(trials):
         dims = (rng.randint(2, 8), rng.randint(2, 8))
         ones = _random_free_ones(dims, (pattern,), rng)
-        side = rng.choice((1, 2))
         grid, wide, thin = _block_classes(dims, ones, pattern.dims, pattern.ones, side)
         for axis in (1, 2) if wide else ():
             for key, count in _wide_count(wide, axis).items():
-                if count > limits[side]:
+                if count > limit:
                     failures.append(
                         {
                             "trial": trial,
@@ -156,7 +157,7 @@ def _block_decomposition(trials, seed) -> dict:
                             "axis": axis,
                             "column": list(key),
                             "count": count,
-                            "limit": limits[side],
+                            "limit": limit,
                         }
                     )
         if thin and _match(grid, thin, pattern.dims, pattern.ones):

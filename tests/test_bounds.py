@@ -42,6 +42,7 @@ from posetmatrix import (
     weak_chain_coefficient,
     wide_block_limit,
 )
+from posetmatrix.bounds import E_ESTIMATE_N_MAX
 from posetmatrix.family import cube_order, cube_swaps, occurrence_masks
 
 
@@ -210,6 +211,10 @@ def test_middle_levels_free_and_estimate():
     assert e_estimate(diamond(), induced=False) == 2
     assert e_estimate(chain(2), induced=False) == 1
     assert e_estimate(antichain(2), induced=False) == 0
+    # chain:8 needs 8 levels, more than any scanned cube has, so the scan
+    # ends at its ceiling in both modes
+    assert E_ESTIMATE_N_MAX + 1 == 7
+    assert e_estimate(chain(8), induced=False) == e_estimate(chain(8), induced=True) == 7
 
 
 def test_pipeline_diamond_routes():

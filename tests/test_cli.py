@@ -341,12 +341,19 @@ def test_cap_override_leaves_verify_bytes(capsys):
 
 
 def test_tsv_format(capsys):
-    code, out, err = invoke(capsys, "--format", "tsv", "poset", "info", "chain:2")
-    assert code == 0
-    lines = dict(line.split("\t") for line in out.strip().splitlines())
-    assert lines["size"] == "2"
-    assert lines["poset.elements[0]"] == "a1"
-    assert lines == dict(sorted(lines.items()))
+    # one line per leaf, sorted by path; true, false and None print as JSON
+    cases = [
+        (("poset", "info", "chain:2"), {"size": "2", "poset.elements[0]": "a1"}),
+        (("verify", "mt"), {"ok": "true"}),
+        (("bounds", "--poset", "diamond"), {"bukh_tree.applies": "false"}),
+        (("bounds", "--poset", "vee:2"), {"diamond_direct": "null"}),
+    ]
+    for argv, want in cases:
+        code, out, err = invoke(capsys, "--no-cache", "--format", "tsv", *argv)
+        assert code == 0
+        lines = dict(line.split("\t") for line in out.strip().splitlines())
+        assert {path: lines[path] for path in want} == want
+        assert lines == dict(sorted(lines.items()))
 
 
 def test_unknown_poset_is_input_error(capsys):

@@ -617,6 +617,28 @@ def test_forged_la_entry_is_a_miss(tmp_cache, value, witness):
     assert json.loads(entry.read_text()) == record
 
 
+@pytest.mark.parametrize("field, forged", [("schema", 2), ("key", {"kind": "ex", "engine": 1})])
+def test_cache_entry_of_another_schema_or_key_is_a_miss(tmp_cache, monkeypatch, field, forged):
+    # an entry is served only under schema 1 and its own key; either mismatch
+    # runs the search, and the fresh result overwrites the entry
+    id2 = identity_matrix(2)
+    cold = ex_exact((3, 3), [id2], cache=tmp_cache)
+    [entry] = tmp_cache.root.glob("*.json")
+    record = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(record, **{field: forged})))
+    searches = []
+    search = extremal._mask_search
+
+    def counting(*args):
+        searches.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(extremal, "_mask_search", counting)
+    assert ex_exact((3, 3), [id2], cache=tmp_cache) == cold
+    assert searches == [9]
+    assert json.loads(entry.read_text()) == record
+
+
 def test_over_cap_raises_before_listing_positions():
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="1000000000000 cells"):

@@ -24,7 +24,14 @@ from posetmatrix import (
     shifted_lubell,
     vee,
 )
-from posetmatrix.embed import columns, degree_filter, inclusion_tables, order_embeddings, order_images
+from posetmatrix.embed import (
+    columns,
+    degree_filter,
+    find_order_embedding,
+    inclusion_tables,
+    order_embeddings,
+    order_images,
+)
 from posetmatrix.family import cube_order, cube_swaps, occurrence_masks
 from posetmatrix.rng import make_rng
 
@@ -291,6 +298,7 @@ def automorphisms(p):
 # force e(a1) < e(b1): here the one copy has a0, b0, b1, a1 at members 0..3
 @example(TWO_CHAINS, [0b0001, 0b0010, 0b1010, 0b0101], True)
 @example(Poset.from_pairs(["x"], []), [0b01, 0b10, 0b11], False)  # one element
+@example(Poset((), ()), [], True)  # the empty poset embeds once, as ()
 # the two tops are apart, so in induced mode they may not nest
 @example(Poset.from_pairs("abc", [("a", "b"), ("a", "c")]), [0, 0b01, 0b10, 0b11, 0b100], True)
 def test_order_embeddings_one_per_orbit(p, masks, induced):
@@ -304,6 +312,7 @@ def test_order_embeddings_one_per_orbit(p, masks, induced):
         if all(e <= tuple(e[x] for x in s) for s in auts)
     ]
     assert got == want
+    assert find_order_embedding(p, masks, induced) == (got[0] if got else None)
     # the image path runs the same search and yields each image as a bitset
     assert list(order_images(p, masks, induced)) == [sum(1 << t for t in e) for e in got]
     if induced:

@@ -559,6 +559,8 @@ def test_subposet_embeds():
     assert subposet_embeds(d, chain(4), induced=False)
     assert not subposet_embeds(d, chain(4), induced=True)
     assert subposet_embeds(chain(2), chain(4), induced=True)
+    # the empty poset embeds everywhere, by its one empty embedding
+    assert subposet_embeds(Poset((), ()), d, induced=True)
 
 
 def test_load_poset_file(tmp_path):

@@ -1,3 +1,4 @@
+import json
 from math import prod
 
 import pytest
@@ -47,6 +48,45 @@ def test_lw_failure_reports_the_drawn_ones(monkeypatch, seed):
     assert got["failures"] == want[:3] and len(want) >= 3
 
 
+def test_countp_failure_reports_each_disagreeing_set(monkeypatch, capsys):
+    # a formula one too high disagrees with the enumeration at every set;
+    # the report lists the first five in (n, d, mask) order
+    formula = verify.count_partitions_with_prefix
+    monkeypatch.setattr(verify, "count_partitions_with_prefix", lambda n, d, f: formula(n, d, f) + 1)
+    assert run(["--no-cache", "verify", "countp"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and "trials" not in out
+    sets = [(0, 1, []), (0, 2, []), (0, 3, []), (1, 1, []), (1, 1, [1])]
+    assert out["failures"] == [{"n": n, "d": d, "set": e, "got": 1, "want": 2} for n, d, e in sets]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("random_only", [False, True])
+def test_doublecount_failure_reports_each_family(monkeypatch, capsys, seed, random_only):
+    # an identity that fails on every family (or only on the random n=4 ones)
+    # lists the exhaustive families in order, then the random draws
+    identity = verify.double_count_identity
+
+    def failing(fam, d):
+        return identity(fam, d)._replace(equal=random_only and fam.n < 4)
+
+    monkeypatch.setattr(verify, "double_count_identity", failing)
+    assert run(["--no-cache", "--seed", str(seed), "verify", "doublecount", "--trials", "8"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False and out["trials"] == 8
+    rng = make_rng(seed, "verify:doublecount")
+    want = [
+        {"n": n, "d": 2, "family": family}
+        for n, family in ((0, []), (0, [[]]), (1, []), (1, [[]]), (1, [[1]]))
+        if not random_only
+    ]
+    for trial in range(8):
+        d = 2 + trial % 2
+        masks = tuple(m for m in range(16) if rng.random() < 0.5)
+        want.append({"n": 4, "d": d, "family": SetFamily(4, masks).to_obj()["sets"]})
+    assert out["failures"] == want[:5]
+
+
 @pytest.mark.parametrize("forced", ["limit", "coarse", "both"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_blocks_failure_reports_match_the_public_api(monkeypatch, seed, forced):
@@ -63,9 +103,8 @@ def test_blocks_failure_reports_match_the_public_api(monkeypatch, seed, forced):
     for trial in range(40):
         dims = (rng.randint(2, 8), rng.randint(2, 8))
         host = random_free_matrix(dims, [id2], rng)
-        side = rng.choice((1, 2))
-        report = block_analyze(host, id2, side)
-        head = {"trial": trial, "dims": list(dims), "side": side}
+        report = block_analyze(host, id2, 2)
+        head = {"trial": trial, "dims": list(dims), "side": 2}
         if forced != "coarse":
             for axis in (1, 2):
                 for key, count in report.wide_count(axis).items():
@@ -77,6 +116,27 @@ def test_blocks_failure_reports_match_the_public_api(monkeypatch, seed, forced):
     got = verify._block_decomposition(40, seed)
     assert got["ok"] is False
     assert got["failures"] == want[:5] and len(want) >= 5
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_blocks_trial_reaches_its_limit(monkeypatch, seed):
+    # each trial cuts its host into blocks of a side where some blockcolumn
+    # holds as many wide blocks as the lemma allows, so each can fail
+    calls = []
+    classes = verify._block_classes
+
+    def recording(dims, ones, pdims, pones, side):
+        out = classes(dims, ones, pdims, pones, side)
+        calls.append((side, out[1]))
+        return out
+
+    monkeypatch.setattr(verify, "_block_classes", recording)
+    assert verify._block_decomposition(100, seed)["ok"] is True
+    assert len(calls) == 100
+    for side, wide in calls:
+        limit = verify.wide_block_limit(identity_matrix(2), side)
+        counts = [c for axis in (1, 2) for c in verify._wide_count(wide, axis).values()]
+        assert limit >= 1 and max(counts, default=0) == limit
 
 
 def _constructions(monkeypatch, capsys, *argv) -> int:
