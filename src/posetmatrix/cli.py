@@ -3,9 +3,9 @@
 Every command prints one JSON object (or a flattened TSV of it) with a
 top-level "schema" field.  Randomized verification commands echo their seed
 and report counterexamples in the output; exit status is 0 for ok, 1 for a
-failed verification, 2 for bad input, 141 when the reader of stdout closes
-it early.  The parser is built once per process; `verify` runs through
-`verify.run_checks`.
+failed verification, 2 for bad input or an instance that does not fit in
+memory, 141 when the reader of stdout closes it early.  The parser is
+built once per process; `verify` runs through `verify.run_checks`.
 """
 
 from __future__ import annotations
@@ -98,6 +98,10 @@ def run(argv=None) -> int:
         payload = args.handler(args)
     except (CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an oversized --cap-override instance; str(MemoryError()) is empty
+        print("error: out of memory: the instance is too large to hold", file=sys.stderr)
         return 2
     try:
         _emit(payload, args.format)

@@ -61,15 +61,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, prod
+from math import prod
 from operator import itemgetter
 from typing import NamedTuple
 
 from .cache import ResultCache
 from .embed import columns
 from .errors import CapExceeded, json_int
-from .family import SetFamily, cube_order, cube_swaps, elements, family_contains
+from .family import SetFamily, cube_order, cube_swaps, elements, family_contains, middle_window
 from .family import occurrence_masks as family_masks
 from .hypermatrix import HyperMatrix, all_cells, contains, occurrence_masks
 from .poset import Poset, diamond, enumerate_patterns
@@ -229,14 +228,13 @@ def la_exact(
 
 def _la_incumbent(n: int, masks: list[int]) -> int:
     """A set of `cube_order` positions holding none of the sorted masks, as a
-    bitmask: the largest free band of middle levels (`family.middle_levels`'
-    windows, nested runs of positions), or for n >= 6 the best of 32 greedy
-    runs from a fixed rng if larger, so node counts repeat."""
-    starts = [0, *accumulate(comb(n, k) for k in range(n + 1))]
+    bitmask: the largest free band of middle levels (the runs of positions
+    `family.middle_window` gives, nested as m grows), or for n >= 6 the best
+    of 32 greedy runs from a fixed rng if larger, so node counts repeat."""
     best = 0
     for m in range(1, n + 2):
-        lo = (n - m + 2) // 2
-        low, high = 1 << starts[lo], 1 << starts[lo + m]
+        start, stop = middle_window(n, m)
+        low, high = 1 << start, 1 << stop
         band = high - low
         # only a mask whose highest position is in the band can lie in it
         inside = masks[bisect_left(masks, low) : bisect_left(masks, high)]

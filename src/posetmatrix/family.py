@@ -5,13 +5,22 @@ witnesses round-trip byte-identically, but equality of content is what the
 containment routines care about.  Containment and the copies of a poset in
 the cube hand their sets to the embedder as they are: its targets are sets
 under inclusion.
+
+The n-cube's layout is built once per n per process: `cube_order` (the
+order in which `la_exact` decides the sets) and the position of each set in
+it, which `cube_swaps` reads.  `middle_window` is the one place the centred
+band of middle levels is computed, as a run of those positions:
+`middle_levels` slices the order with it and `extremal._la_incumbent` takes
+its bands from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .embed import find_order_embedding, order_images
 from .errors import InvariantError, json_int, load_json_file
@@ -93,10 +102,36 @@ def family_contains(fam: SetFamily, p, induced: bool) -> bool:
     return find_embedding(fam, p, induced) is not None
 
 
-def cube_order(n: int) -> list[int]:
+class _Layout(NamedTuple):
+    order: tuple[int, ...]  # every mask, in `cube_order`
+    index: tuple[int, ...]  # index[s]: the position of mask s in `order`
+
+
+@lru_cache(maxsize=32)  # more n than any cube that fits in memory
+def _layout(n: int) -> _Layout:
+    """The n-cube's layout, built once per n; called only with an n that
+    `json_int` has accepted, so True never gets the entry for 1."""
+    order = tuple(sorted(range(1 << n), key=lambda s: (s.bit_count(), s)))
+    index = [0] * len(order)
+    for j, s in enumerate(order):
+        index[s] = j
+    return _Layout(order, tuple(index))
+
+
+def cube_order(n: int) -> tuple[int, ...]:
     """Every subset of {1..n} as a mask, smaller sets first, then by mask
     value: the order in which `la_exact` decides the sets."""
-    return sorted(range(1 << json_int(n, "ground set size")), key=lambda s: (s.bit_count(), s))
+    return _layout(json_int(n, "ground set size")).order
+
+
+def middle_window(n: int, m: int) -> tuple[int, int]:
+    """The m middle size-levels of the n-cube as the `cube_order` positions
+    range(start, stop): sizes lo..lo+m-1, centred with lo = ceil((n-m+1)/2)."""
+    if json_int(n, "ground set size") < 0 or json_int(m, "level count") < 1 or m > n + 1:
+        raise ValueError(f"need 0 <= n and 1 <= m <= n+1, got n={n} m={m}")
+    lo = (n - m + 2) // 2
+    start = sum(comb(n, k) for k in range(lo))
+    return start, start + sum(comb(n, k) for k in range(lo, lo + m))
 
 
 def cube_swaps(n: int) -> list[list[int]]:
@@ -104,10 +139,7 @@ def cube_swaps(n: int) -> list[list[int]]:
     `cube_order` positions: entry j is the position of the image of the
     j-th set.  Each is an involution, and each maps the copies of any poset
     onto themselves."""
-    order = cube_order(n)
-    index = [0] * len(order)
-    for j, s in enumerate(order):
-        index[s] = j
+    order, index = _layout(json_int(n, "ground set size"))
     # a set with exactly one of bits i, i+1 moves to the set with the other
     return [
         [index[s ^ 3 << i] if (s >> i ^ s >> i + 1) & 1 else j for j, s in enumerate(order)]
@@ -148,10 +180,7 @@ def shifted_lubell(fam: SetFamily, d: int) -> Fraction:
 
 
 def middle_levels(n: int, m: int) -> SetFamily:
-    """Union of the m middle size-levels of the n-cube, smaller sizes first."""
-    if json_int(n, "ground set size") < 0 or json_int(m, "level count") < 1 or m > n + 1:
-        raise ValueError(f"need 0 <= n and 1 <= m <= n+1, got n={n} m={m}")
-    # center the window: lowest included size is ceil((n-m+1)/2)
-    lo = max(0, -(-(n - m + 1) // 2))
-    hi = lo + m - 1
-    return SetFamily(n, tuple(s for s in cube_order(n) if lo <= s.bit_count() <= hi))
+    """Union of the m middle size-levels of the n-cube, smaller sizes first:
+    the `middle_window` run of `cube_order`."""
+    start, stop = middle_window(n, m)
+    return SetFamily(n, cube_order(n)[start:stop])

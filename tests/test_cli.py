@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from posetmatrix import diamond, dimension, dump_matrix, ex_exact, extremal, identity_matrix, realizer_to_matrix
+from posetmatrix import cli, diamond, dimension, dump_matrix, ex_exact, extremal, identity_matrix, realizer_to_matrix
 from posetmatrix.cache import ResultCache
 from posetmatrix.cli import build_parser, run
 from posetmatrix.verify import CHECKS
@@ -545,6 +545,25 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         code, out, err = invoke(capsys, "--no-cache", "verify", check)
         assert code == 1, check
         assert json.loads(out)["ok"] is False and err == ""
+
+
+def test_instance_that_does_not_fit_in_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # an oversized --cap-override run (la n=40, ex on a 10^11 x 10^11 host)
+    # fails to allocate; the searches are stood in for, nothing is allocated
+    def too_large(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "la_exact", too_large)
+    monkeypatch.setattr(cli, "ex_exact", too_large)
+    pat = tmp_path / "id2.json"
+    dump_matrix(identity_matrix(2), pat)
+    for argv in (
+        ["la", "--n", "40", "--poset", "diamond"],
+        ["ex", "--dims", "99999999999,99999999999", "--pattern", str(pat)],
+    ):
+        code, out, err = invoke(capsys, "--no-cache", "--cap-override", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: the instance is too large to hold\n", err
 
 
 def source_env():

@@ -27,6 +27,7 @@ from posetmatrix import (
     identity_matrix,
     la_exact,
     middle_levels,
+    middle_levels_free,
     random_free_matrix,
     tardos_diamond_check,
     vee,
@@ -746,6 +747,22 @@ def test_la_incumbent_is_free_and_at_most_the_value(spec, monkeypatch):
                 fam = SetFamily(n, tuple(s for i, s in enumerate(cube_order(n)) if chosen >> i & 1))
                 assert not family_contains(fam, p, induced)
                 assert fam.size <= value
+
+
+def test_la_incumbent_band_is_the_embedders_middle_levels():
+    # the band scan over the sorted copies agrees with the embedder's scan
+    # (`bounds.middle_levels_free`): the largest free window, or none
+    specs = ["chain:1", "chain:2", "chain:3", "antichain:2", "antichain:3", "diamond"]
+    specs += ["vee:2", "vee:3", "butterfly", "boolean:2"]
+    for n in range(6):
+        position = {s: i for i, s in enumerate(cube_order(n))}
+        for spec in specs:
+            p = builtin(spec)
+            for induced in (False, True):
+                free = [m for m in range(1, n + 2) if middle_levels_free(n, m, p, induced)]
+                want = sum(1 << position[s] for s in middle_levels(n, free[-1]).masks) if free else 0
+                got = extremal._la_incumbent(n, family_masks(n, p, induced))
+                assert got == want, (n, spec, induced)
 
 
 def test_la_greedy_does_not_follow_the_cap(monkeypatch):

@@ -32,7 +32,7 @@ from posetmatrix.embed import (
     order_embeddings,
     order_images,
 )
-from posetmatrix.family import cube_order, cube_swaps, occurrence_masks
+from posetmatrix.family import cube_order, cube_swaps, middle_window, occurrence_masks
 from posetmatrix.rng import make_rng
 
 from conftest import brute_family_contains
@@ -125,6 +125,39 @@ def test_middle_levels():
         middle_levels(2, 4)
     with pytest.raises(ValueError):
         middle_levels(3, 0)
+
+
+def test_middle_window_is_the_popcount_filter():
+    # the definition the one window replaces: sort the cube by (popcount,
+    # value), then keep the m centred sizes from ceil((n-m+1)/2) on
+    for n in range(9):
+        cube = tuple(sorted(range(1 << n), key=lambda s: (s.bit_count(), s)))
+        assert cube_order(n) == cube
+        for m in range(1, n + 2):
+            lo = max(0, -(-(n - m + 1) // 2))
+            want = tuple(s for s in cube if lo <= s.bit_count() <= lo + m - 1)
+            assert middle_levels(n, m).masks == want, (n, m)
+            assert cube_order(n)[slice(*middle_window(n, m))] == want, (n, m)
+
+
+def test_cube_layout_cache_cannot_be_fooled():
+    # the layouts of 1 and 3 are cached first: True and 3.0 must not reach them
+    assert cube_order(1) == (0, 1) and len(cube_order(3)) == 8
+    calls = [
+        lambda: cube_order(True),
+        lambda: cube_order(3.0),
+        lambda: cube_swaps(True),
+        lambda: middle_levels(True, 1),
+        lambda: middle_window(True, 1),
+    ]
+    for call in calls:
+        with pytest.raises(InvariantError):
+            call()
+    order = cube_order(3)
+    assert type(order) is tuple
+    with pytest.raises(TypeError):
+        order[0] = 7
+    assert cube_order(3) == (0, 1, 2, 4, 3, 5, 6, 7)
 
 
 def test_family_file_round_trip(tmp_path):
