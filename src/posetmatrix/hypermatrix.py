@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, prod
+from operator import getitem
 
 from .errors import InvariantError, json_int, load_json_file
 
@@ -259,7 +260,8 @@ def _wide_count(wide, axis: int) -> dict[Coord, int]:
 def wide_block_limit(pattern: HyperMatrix, side: int) -> int:
     """Cap on axis-wide blocks per blockcolumn of a pattern-free host:
     (k-1) * C(side^(d-1), k) for a permutation pattern with k ones."""
-    json_int(side, "block side")
+    if json_int(side, "block side") < 1:
+        raise ValueError("block side must be positive")
     if not is_permutation_matrix(pattern):
         raise ValueError("the wide-block limit needs a permutation pattern")
     k = pattern.dims[0]
@@ -282,29 +284,52 @@ def block_analyze(host: HyperMatrix, pattern: HyperMatrix, side: int) -> BlockRe
 
 def _block_classes(dims, ones, a_dims, a_ones, side: int):
     """`block_analyze` on checked, plain (dims, ones) arguments: the grid, the
-    wide blocks with their axes in block order, and the thin blocks.  A
-    block with fewer 1s than the pattern is wide along no axis."""
-    grid = tuple(-(-n // side) for n in dims)
+    wide blocks with their axes in block order, and the thin blocks.  Each 1
+    finds its block and its place inside it in the per-axis cut tables.  A
+    block with fewer 1s than the pattern is wide along no axis; any other
+    takes its wide axes from `_wide_axes`, which tests each content once."""
+    blocks, places, lengths = zip(*(_cuts(n, side) for n in dims))
     held: dict[Coord, list[Coord]] = {}
     for o in ones:
-        held.setdefault(tuple((c - 1) // side + 1 for c in o), []).append(o)
-    d = len(dims)
-    projs = [(a_dims[:j] + a_dims[j + 1 :], [o[:j] + o[j + 1 :] for o in a_ones]) for j in range(d)]
+        held.setdefault(tuple(map(getitem, blocks, o)), []).append(tuple(map(getitem, places, o)))
     wide: dict[Coord, tuple[int, ...]] = {}
-    for b, os in held.items():
-        if len(os) < len(a_ones):
-            continue
-        lo = tuple((c - 1) * side for c in b)
-        bdims = tuple(min(n, l + side) - l for n, l in zip(dims, lo))
-        locs = [tuple(c - l for c, l in zip(o, lo)) for o in os]
-        axes = tuple(
-            j + 1
-            for j, (p_dims, p_ones) in enumerate(projs)
-            if _match(bdims[:j] + bdims[j + 1 :], [o[:j] + o[j + 1 :] for o in locs], p_dims, p_ones)
-        )
-        if axes:
-            wide[b] = axes
+    for b, locs in held.items():
+        if len(locs) >= len(a_ones):
+            axes = _wide_axes(tuple(map(getitem, lengths, b)), tuple(locs), a_dims, a_ones)
+            if axes:
+                wide[b] = axes
+    grid = tuple(len(t) - 1 for t in lengths)
     return grid, dict(sorted(wide.items())), [b for b in held if b not in wide]
+
+
+@lru_cache(maxsize=64)
+def _cuts(n: int, side: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """An axis of length n cut into side-s blocks: per coordinate 1..n its
+    block and its index inside that block, and per block its length (each
+    table 1-based, entry 0 unused)."""
+    coords = range(n)
+    return (
+        (0, *(c // side + 1 for c in coords)),
+        (0, *(c % side + 1 for c in coords)),
+        (0, *(min(side, n - lo) for lo in range(0, n, side))),
+    )
+
+
+@lru_cache(maxsize=256)  # `verify blocks` meets under ten contents in 2,000 hosts
+def _wide_axes(bdims, locs, a_dims, a_ones) -> tuple[int, ...]:
+    """The axes along which a block of sides `bdims` holding the 1s `locs`
+    is wide: its projection along the axis contains the pattern's.  Side
+    lengths are left to `_match`, since a 1x2 block can be wide along axis 1."""
+    return tuple(
+        j + 1
+        for j in range(len(bdims))
+        if _match(
+            bdims[:j] + bdims[j + 1 :],
+            [o[:j] + o[j + 1 :] for o in locs],
+            a_dims[:j] + a_dims[j + 1 :],
+            [o[:j] + o[j + 1 :] for o in a_ones],
+        )
+    )
 
 
 def all_cells(dims) -> list[Coord]:

@@ -44,6 +44,7 @@ from posetmatrix import (
 )
 from posetmatrix.bounds import E_ESTIMATE_N_MAX
 from posetmatrix.family import cube_order, cube_swaps, occurrence_masks
+from posetmatrix.poset import builtin
 
 
 def test_erdos_bound_values():
@@ -215,6 +216,34 @@ def test_middle_levels_free_and_estimate():
     # ends at its ceiling in both modes
     assert E_ESTIMATE_N_MAX + 1 == 7
     assert e_estimate(chain(8), induced=False) == e_estimate(chain(8), induced=True) == 7
+
+
+def _e_estimate_every_n(p, induced):
+    """`e_estimate` as first defined: m middle levels free at every n from
+    m-1 (at least 1) to E_ESTIMATE_N_MAX."""
+    for m in range(1, E_ESTIMATE_N_MAX + 2):
+        ns = range(max(1, m - 1), E_ESTIMATE_N_MAX + 1)
+        if not all(middle_levels_free(n, m, p, induced) for n in ns):
+            return m - 1
+    return E_ESTIMATE_N_MAX + 1
+
+
+SMALL_BUILTINS = (
+    [f"{kind}:{k}" for kind in ("chain", "antichain") for k in range(1, 7)]
+    + [f"vee:{r}" for r in range(1, 6)]
+    + [f"boolean:{m}" for m in range(3)]
+    + ["diamond", "butterfly"]
+)
+
+
+@pytest.mark.parametrize("spec", SMALL_BUILTINS)
+def test_e_estimate_scans_only_the_largest_cube(spec):
+    # the middle levels of the n-cube embed in those of the (n+1)-cube, so
+    # testing n = E_ESTIMATE_N_MAX alone gives the every-n value
+    p = builtin(spec)
+    assert p.n <= 6
+    for induced in (False, True):
+        assert e_estimate(p, induced) == _e_estimate_every_n(p, induced)
 
 
 def test_pipeline_diamond_routes():

@@ -18,6 +18,7 @@ from posetmatrix import (
     projection,
     wide_block_limit,
 )
+from posetmatrix import hypermatrix
 from posetmatrix.rng import make_rng
 
 from conftest import brute_contains, mat
@@ -209,6 +210,14 @@ def test_wide_block_limit_values():
         wide_block_limit(mat("11"), 2)
 
 
+@pytest.mark.parametrize("side", [0, -1])
+def test_wide_block_limit_refuses_a_side_below_one(side):
+    # side 0 used to give a limit of 0, and side -1 the error of `comb`
+    with pytest.raises(ValueError) as info:
+        wide_block_limit(identity_matrix(2), side)
+    assert str(info.value) == "block side must be positive"
+
+
 def test_block_analyze_rejects_bad_args():
     id2 = identity_matrix(2)
     with pytest.raises(ValueError, match="same dimension"):
@@ -341,3 +350,31 @@ def test_block_analyze_matches_per_block_matrices(instance):
     rep = block_analyze(host, pattern, side)
     assert (rep.wide, rep.nonempty, rep.coarse) == _block_oracle(host, pattern, side)
     assert list(rep.wide) == sorted(rep.wide)
+
+
+# pairs of permutation patterns of equal dims; in 2 dims every projection of
+# a k x k permutation is a line of k 1s, so only the 3-dim pair gives blocks
+# of one content different wide axes
+PATTERN_PAIRS = [
+    (identity_matrix(2), mat("01", "10")),
+    (identity_matrix(2, 3), HyperMatrix((2, 2, 2), ((1, 1, 2), (2, 2, 1)))),
+]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("pair", PATTERN_PAIRS)
+def test_block_verdict_cache_cannot_be_fooled(pair, first):
+    # one host under both patterns, in either order: a verdict cached for one
+    # pattern must not answer for the other
+    rng = make_rng(1, "hm:verdicts")
+    d = pair[0].d
+    dims = (6, 6) if d == 2 else (4, 4, 4)
+    host = HyperMatrix(dims, tuple(c for c in all_cells(dims) if rng.random() < 0.5))
+    order = pair if first == 0 else pair[::-1]
+    hypermatrix._wide_axes.cache_clear()
+    for side in (1, 2, 3):
+        reports = [block_analyze(host, pattern, side) for pattern in order]
+        for pattern, rep in zip(order, reports):
+            assert (rep.wide, rep.nonempty, rep.coarse) == _block_oracle(host, pattern, side)
+        if d == 3 and side == 2:
+            assert reports[0].wide != reports[1].wide

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from posetmatrix import HyperMatrix, PermutationPartition, SetFamily, all_cells, projection
 from posetmatrix import block_analyze, identity_matrix, random_free_matrix
-from posetmatrix import verify
+from posetmatrix import hypermatrix, verify
 from posetmatrix.cli import run
 from posetmatrix.rng import make_rng
 
@@ -137,6 +137,46 @@ def test_every_blocks_trial_reaches_its_limit(monkeypatch, seed):
         limit = verify.wide_block_limit(identity_matrix(2), side)
         counts = [c for axis in (1, 2) for c in verify._wide_count(wide, axis).values()]
         assert limit >= 1 and max(counts, default=0) == limit
+
+
+def _block_contents(trials, seed) -> set:
+    """The distinct (sides, local 1s) of the 2x2 blocks holding at least two
+    1s over a `verify blocks` run's hosts, cut by hand."""
+    rng = make_rng(seed, "verify:blocks")
+    contents: dict = {}
+    for _ in range(trials):
+        dims = (rng.randint(2, 8), rng.randint(2, 8))
+        blocks: dict = {}
+        for o in random_free_matrix(dims, [identity_matrix(2)], rng).ones:
+            b = tuple((c - 1) // 2 for c in o)
+            blocks.setdefault(b, []).append(tuple((c - 1) % 2 + 1 for c in o))
+        for b, locs in blocks.items():
+            if len(locs) >= 2:
+                sides = tuple(min(2, n - 2 * i) for n, i in zip(dims, b))
+                contents[sides, tuple(locs)] = True
+    return set(contents)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_blocks_run_tests_each_block_content_once(monkeypatch, seed):
+    # the wide axes of a block depend only on its sides and local 1s, so a
+    # run tests each distinct content once (two projections) and each trial's
+    # coarse matrix once; testing every block took about 770 `_match` calls
+    contents = _block_contents(100, seed)
+    calls = 0
+    match = hypermatrix._match
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return match(*args)
+
+    hypermatrix._wide_axes.cache_clear()
+    monkeypatch.setattr(hypermatrix, "_match", counting)
+    monkeypatch.setattr(verify, "_match", counting)
+    assert verify._block_decomposition(100, seed)["ok"] is True
+    assert 0 < len(contents) <= 16
+    assert calls <= 100 + 2 * len(contents)
 
 
 def _constructions(monkeypatch, capsys, *argv) -> int:
