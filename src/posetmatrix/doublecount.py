@@ -15,14 +15,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations
 from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import CapExceeded, InvariantError, json_int
 from .embed import columns, order_embeddings
 from .family import SetFamily, elements
-from .hypermatrix import HyperMatrix, _match
+from .hypermatrix import HyperMatrix, _match, box_layout
 from .poset import Poset, Realizer, realizer_to_matrix
 from .rng import make_rng
 
@@ -172,8 +172,8 @@ def _prefix_union_ones(parts, member) -> tuple[tuple[int, ...], list[tuple[int, 
     """The dims of the prefix-union matrix of these runs, and its 1s: the
     index vectors, in lexicographic order, whose union mask u has member(u)."""
     dims = tuple(len(part) + 1 for part in parts)
-    vectors = product(*(range(1, s + 1) for s in dims))
-    return dims, [idx for idx, u in zip(vectors, _prefix_unions(parts)) if member(u)]
+    cells = box_layout(*dims).cells
+    return dims, [idx for idx, u in zip(cells, _prefix_unions(parts)) if member(u)]
 
 
 class FreenessReport(NamedTuple):

@@ -39,22 +39,20 @@ symmetries it still ties with.  The first maximum set found leads its own
 orbit, so values and witnesses do not depend on the symmetries given.
 `la_exact` passes the swaps of adjacent elements of {1..n}
 (`family.cube_swaps`), which map every poset's copies onto themselves and
-decide their comparisons in order.  `ex_exact` passes the swaps of each axis
-with the next axis of the same length (`_axis_swaps`, built once per box
-shape), keeping those under which the set of patterns maps onto itself, as
-I_k, the d-dim 2x...x2 identity and every poset's full pattern set do
-(`_box_swaps`); such a swap maps the box's copies onto themselves, and it
-about halves the search nodes on the larger boxes.  Likewise a floor
+decide their comparisons in order; `ex_exact` passes the box's axis swaps
+under which its patterns map onto themselves (`hypermatrix.box_swaps`),
+which about halve the search nodes on the larger boxes.  Likewise a floor
 below the size of a free set already known moves no value or witness; only
 `la_exact` gives one (`_la_incumbent`).
 
 Both also share one solve path (`_solve`) around the search: the size cap,
-the optional on-disk cache, and a re-check of every witness, fresh or
-cached.  Its one codec names each position by a label, a cell's coordinates
-for `ex` and a set's sorted elements for `la`: a cache entry is the value
-and the labels of the chosen positions, and is read back by looking each
-label up.  `ex_exact` and `la_exact` supply only their cache key, their
-labels, their search and a witness builder that re-checks what it builds.
+the optional on-disk cache, the one call of the search, and a re-check of
+every witness, fresh or cached.  Its one codec names each position by a
+label, a cell's coordinates for `ex` and a set's sorted elements for `la`:
+a cache entry is the value and the labels of the chosen positions, and is
+read back by looking each label up.  `ex_exact` and `la_exact` supply only
+their cache key, their labels, their problem (the masks, their symmetries
+and a floor) and a witness builder that re-checks what it builds.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from math import prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from .cache import ResultCache
@@ -70,7 +67,7 @@ from .embed import columns
 from .errors import CapExceeded, json_int
 from .family import SetFamily, cube_order, cube_swaps, elements, family_contains, middle_window
 from .family import occurrence_masks as family_masks
-from .hypermatrix import HyperMatrix, all_cells, contains, occurrence_masks
+from .hypermatrix import HyperMatrix, box_layout, box_swaps, contains, occurrence_masks
 from .poset import Poset, diamond, enumerate_patterns
 from .rng import make_rng
 
@@ -149,42 +146,10 @@ def ex_exact(
 
     return ExResult(*_solve(
         key, cache, total, DEFAULT_CELL_CAP, f"{total} cells", allow_over_cap,
-        lambda: all_cells(dims),
-        lambda: _mask_search(total, occurrence_masks(dims, pats), _box_swaps(dims, pats)),
+        lambda: box_layout(*dims).cells,
+        lambda: (occurrence_masks(dims, pats), box_swaps(dims, pats)),
         witness,
     ))
-
-
-def _box_swaps(dims, pats) -> list[tuple[int, ...]]:
-    """The swaps of `_axis_swaps(dims)` under which the set of patterns maps
-    onto itself.  Swapping two axes of equal length maps a copy of pattern a
-    to a copy of a swapped, so each such swap maps the box's copies onto
-    themselves."""
-    shapes = {(a.dims, a.ones) for a in pats}
-    return [
-        sym
-        for swap, sym in _axis_swaps(dims)
-        if shapes == {(swap(s), tuple(sorted(map(swap, ones)))) for s, ones in shapes}
-    ]
-
-
-@lru_cache(maxsize=64)
-def _axis_swaps(dims) -> tuple[tuple[itemgetter, tuple[int, ...]], ...]:
-    """For each axis i of a box, the swap with the next axis j > i of the
-    same length, if that length is above 1: the swap of coordinates i and j
-    (an `itemgetter`), and the swap as a map of `all_cells` positions.
-    Built once per shape."""
-    cells = all_cells(dims)
-    index = {c: k for k, c in enumerate(cells)}
-    swaps = []
-    for i, n in enumerate(dims):
-        j = next((j for j in range(i + 1, len(dims)) if dims[j] == n), None)
-        if n > 1 and j is not None:
-            axes = list(range(len(dims)))
-            axes[i], axes[j] = j, i
-            swap = itemgetter(*axes)
-            swaps.append((swap, tuple(index[swap(c)] for c in cells)))
-    return tuple(swaps)
 
 
 def la_exact(
@@ -215,14 +180,14 @@ def la_exact(
             raise RuntimeError("family witness contains the forbidden poset")
         return fam
 
-    def search() -> tuple[int, int]:
+    def problem() -> tuple[list[int], list[list[int]], int]:
         masks = family_masks(n, p, induced)
-        return _mask_search(1 << n, masks, cube_swaps(n), _la_incumbent(n, masks).bit_count() - 1)
+        return masks, cube_swaps(n), _la_incumbent(n, masks).bit_count() - 1
 
     return LaResult(*_solve(
         key, cache, n, DEFAULT_LA_CAP, f"ground set size {n}", allow_over_cap,
         lambda: [elements(s) for s in cube_order(n)],
-        search, witness,
+        problem, witness,
     ))
 
 
@@ -254,15 +219,16 @@ def _la_incumbent(n: int, masks: list[int]) -> int:
     return best
 
 
-def _solve(key, cache, size, cap, size_text, allow_over_cap, labels, search, witness):
+def _solve(key, cache, size, cap, size_text, allow_over_cap, labels, problem, witness):
     """(value, witness) for `ex_exact` and `la_exact`: the size cap, the
-    cache and the witness check around their search.
+    cache and the witness check around their one search.
 
-    `labels()` lists a JSON label per position, `search()` returns the value
-    and the bitmask of the positions it chose, and `witness(chosen)` builds
-    the witness from the labels of the chosen positions, raising
-    RuntimeError if it holds a forbidden copy.  None of them runs on an
-    instance over the cap.
+    `labels()` lists a JSON label per position, `problem()` returns the
+    arguments of `_mask_search` over those positions after their number (the
+    sorted masks, their symmetries and optionally a floor), and
+    `witness(chosen)` builds the witness from the labels of the chosen
+    positions, raising RuntimeError if it holds a forbidden copy.  None of
+    them runs on an instance over the cap.
 
     A cache entry is the value and the chosen labels in position order.  An
     entry whose labels are not distinct known positions, whose value is not
@@ -287,7 +253,7 @@ def _solve(key, cache, size, cap, size_text, allow_over_cap, labels, search, wit
             return _attained(json_int(hit["value"], "cached value"), chosen, labels, witness)
         except _BAD_ENTRY:
             pass
-    value, chosen = search()
+    value, chosen = _mask_search(len(labels), *problem())
     result = _attained(value, chosen, labels, witness)
     if cache is not None:
         cache.put(key, {"value": value, "witness": _picked(labels, chosen)})
@@ -318,7 +284,7 @@ def _mask_search(total: int, masks: list[int], syms=(), floor: int = -1) -> tupl
     permutations of the cells, sym taking cell c to sym[c], each an
     involution that maps the masks onto themselves.  Neither is checked
     here; the swaps of `la_exact` (`family.cube_swaps`) and of `ex_exact`
-    (`_box_swaps`) have both by construction.
+    (`hypermatrix.box_swaps`) have both by construction.
 
     Include-first search on an explicit stack, deciding cells in order, so
     the result is the first maximum set in search order: the
@@ -536,7 +502,7 @@ def random_free_matrix(dims, patterns, rng) -> HyperMatrix:
 def _random_free_ones(dims, pats, rng) -> list[tuple[int, ...]]:
     """The 1s of `random_free_matrix` in order, for checked dims and patterns;
     shuffling positions permutes exactly as shuffling the cells would."""
-    cells = all_cells(dims)
+    cells = box_layout(*dims).cells
     order = list(range(len(cells)))
     rng.shuffle(order)
     return _picked(cells, _greedy(*_masks_through_cells(dims, pats), order))

@@ -8,6 +8,18 @@ side length, map every 1 of the pattern onto a 1 of the host.  The matcher
 last axis greedily, one slice of the pattern at a time.  It shares no code
 with `occurrence_masks`, which the `ex` search and the random sampler use to
 take every copy a box can hold at once, as bitmasks over its cells.
+
+Every bitset over a box in the package numbers the cells in `all_cells`
+order, lexicographic in their coordinates: the cell at position i is bit i.
+`box_layout` builds that layout once per box shape: the cells, and per axis
+its side, its bit stride (the position step of one index on it) and the
+bits of its index-1 layer.  It also holds, for each axis, the swap with the
+next axis of the same length above 1, as a swap of coordinates and as a map
+of positions.  `box_swaps` keeps those under which a set of patterns maps
+onto itself; such a swap maps the box's copies (`occurrence_masks`) onto
+themselves, and the `ex` search takes them as symmetries.  The `ex` labels,
+the random sampler, `verify lw`, the prefix-union matrices and the pattern
+census read their cells or strides from the same layout.
 """
 
 from __future__ import annotations
@@ -18,7 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, prod
-from operator import getitem
+from operator import getitem, itemgetter
+from typing import NamedTuple
 
 from .errors import InvariantError, json_int, load_json_file
 
@@ -146,7 +159,7 @@ def occurrence_masks(dims, patterns) -> list[int]:
     have no copy, and the masks come sorted, hence grouped by highest cell.
     """
     dims = tuple(dims)
-    strides = [prod(dims[j + 1 :]) for j in range(len(dims))]
+    layout = box_layout(*dims)
     masks: set[int] = set()
     for a in patterns:
         if any(k > n for k, n in zip(a.dims, dims)):
@@ -154,8 +167,8 @@ def occurrence_masks(dims, patterns) -> list[int]:
         # per leading axis, each index choice as the bit offsets of the
         # pattern's indices; the last axis has stride 1, so its choices shift
         axes = [
-            [tuple(v * strides[j] for v in pick) for pick in combinations(range(dims[j]), a.dims[j])]
-            for j in range(len(dims) - 1)
+            [tuple(v * stride for v in pick) for pick in combinations(range(side), k)]
+            for (side, stride, _), k in zip(layout.axes[:-1], a.dims)
         ]
         lasts = list(combinations(range(dims[-1]), a.dims[-1]))
         for offsets in product(*axes):
@@ -169,6 +182,19 @@ def occurrence_masks(dims, patterns) -> list[int]:
                     m |= bits << v
                 masks.add(m)
     return sorted(masks)
+
+
+def box_swaps(dims, patterns) -> list[tuple[int, ...]]:
+    """The position maps of the layout's axis swaps (see `box_layout`) under
+    which the set of patterns maps onto itself.  Swapping two axes of equal
+    length maps a copy of pattern a to a copy of a swapped, so each such
+    swap maps the box's copies onto themselves."""
+    shapes = {(a.dims, a.ones) for a in patterns}
+    return [
+        sym
+        for swap, sym in box_layout(*dims).swaps
+        if shapes == {(swap(s), tuple(sorted(map(swap, ones)))) for s, ones in shapes}
+    ]
 
 
 # --- structural predicates -------------------------------------------------
@@ -335,3 +361,35 @@ def _wide_axes(bdims, locs, a_dims, a_ones) -> tuple[int, ...]:
 def all_cells(dims) -> list[Coord]:
     """Every coordinate of the given box, in lexicographic order."""
     return list(product(*(range(1, s + 1) for s in dims)))
+
+
+class BoxLayout(NamedTuple):
+    cells: tuple[Coord, ...]  # every cell, in `all_cells` order
+    axes: tuple[tuple[int, int, int], ...]  # per axis: side, bit stride, index-1 layer bits
+    swaps: tuple[tuple[itemgetter, tuple[int, ...]], ...]  # (coordinate swap, position map)
+
+
+# typed: each side is an argument, so (2.0, 2) and (True, 2) get entries of
+# their own rather than those of (2, 2) and (1, 2); a CLI session meets about
+# 50 shapes (its `verify blocks` hosts come in up to 49), so none is evicted
+@lru_cache(maxsize=128, typed=True)
+def box_layout(*dims) -> BoxLayout:
+    """The layout of the box with these sides, built once per shape (see the
+    module docstring).  A swap pairs axis i with the next axis j > i of the
+    same length, if that length is above 1; its position map takes each
+    cell's position to that of the cell with coordinates i and j exchanged."""
+    cells = tuple(all_cells(dims))
+    axes = tuple(
+        (side, prod(dims[j + 1 :]), sum(1 << i for i, c in enumerate(cells) if c[j] == 1))
+        for j, side in enumerate(dims)
+    )
+    index = {c: k for k, c in enumerate(cells)}
+    swaps = []
+    for i, n in enumerate(dims):
+        j = next((j for j in range(i + 1, len(dims)) if dims[j] == n), None)
+        if n > 1 and j is not None:
+            order = list(range(len(dims)))
+            order[i], order[j] = j, i
+            swap = itemgetter(*order)
+            swaps.append((swap, tuple(index[swap(c)] for c in cells)))
+    return BoxLayout(cells, axes, tuple(swaps))

@@ -18,7 +18,7 @@ from operator import or_
 from .embed import columns, find_order_embedding, inclusion_tables, order_embeddings
 from .errors import CapExceeded, InvariantError, json_int, load_json_file
 from .family import cube_order, elements
-from .hypermatrix import HyperMatrix, all_cells
+from .hypermatrix import HyperMatrix, box_layout
 
 
 @dataclass(frozen=True)
@@ -451,7 +451,7 @@ def enumerate_patterns(p: Poset, d: int = 2) -> list[HyperMatrix]:
     m = p.n
     if m == 0 or m > 6:
         raise ValueError("pattern enumeration supports 1..6 elements")
-    cells = all_cells((m, m))
+    cells = box_layout(m, m).cells
     embeddings = order_embeddings(p, _unary_codes((m, m), cells), True)
     found = []
     # each induced copy comes once, and cells come in lexicographic order,

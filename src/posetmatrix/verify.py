@@ -23,7 +23,7 @@ from .doublecount import (
 from .extremal import _random_free_ones, ex_exact, tardos_diamond_check
 from .family import SetFamily, elements
 from .hypermatrix import _block_classes, _match, _wide_count
-from .hypermatrix import all_cells, identity_matrix, wide_block_limit
+from .hypermatrix import box_layout, identity_matrix, wide_block_limit
 from .poset import dimension, load_poset
 from .rng import make_rng
 
@@ -91,19 +91,10 @@ def _double_count(trials, seed) -> dict:
     return _report("double-count-identity", failures, 5, trials)
 
 
-def _first_layers(dims) -> list[tuple[int, int, int]]:
-    """Per axis of a box whose cells are bits in `all_cells` order: its side,
-    its bit stride, and the mask of the cells at index 1 on it."""
-    cells = all_cells(dims)
-    return [
-        (side, prod(dims[j + 1 :]), sum(1 << i for i, c in enumerate(cells) if c[j] == 1))
-        for j, side in enumerate(dims)
-    ]
-
-
 def _projection_sizes(kept: int, layers) -> list[int]:
     """The weight of each axis's projection of the matrix whose 1s are the
-    set bits of `kept`: its layers shifted onto the first one and ORed."""
+    set bits of `kept`: its layers shifted onto the first one and ORed.
+    `layers` is the box's `hypermatrix.box_layout` axes."""
     sizes = []
     for side, stride, first in layers:
         union = 0
@@ -118,10 +109,8 @@ def _projection_product(trials, seed) -> dict:
     |M|^2 <= the product of the projections' weights.  A matrix is one
     bitset over the cells; only a failure lists its 1s."""
     rng = make_rng(seed, "verify:lw")
-    dims = (6, 6, 6)
-    cells = all_cells(dims)
+    cells, layers, _ = box_layout(6, 6, 6)
     bits = [1 << i for i in range(len(cells))]
-    layers = _first_layers(dims)
     random = rng.random
     failures = []
     for trial in range(trials):

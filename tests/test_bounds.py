@@ -5,14 +5,17 @@ import pytest
 
 from posetmatrix import (
     CapExceeded,
+    HyperMatrix,
     InvariantError,
     Poset,
+    Realizer,
     SetFamily,
     antichain,
     best_chen_li,
     best_gmt,
     binomial_shift_check,
     block_analyze,
+    boolean_lattice,
     bounds_table,
     bukh_tree_coefficient,
     butterfly,
@@ -22,14 +25,18 @@ from posetmatrix import (
     derive_seed,
     diamond,
     dimension,
+    double_count_identity,
     e_estimate,
     enumerate_partitions,
     enumerate_patterns,
     erdos_bound,
     gmt_bound,
     hasse_is_tree,
+    height,
     identity_matrix,
     induced_bound_pipeline,
+    la_exact,
+    loomis_whitney_holds,
     make_rng,
     marcus_tardos_constant,
     middle_levels,
@@ -37,14 +44,16 @@ from posetmatrix import (
     partition_count,
     prefix_matrix_freeness_check,
     projection,
+    realizer_to_matrix,
     shifted_lubell,
+    tardos_diamond_check,
     vee,
     weak_chain_coefficient,
     wide_block_limit,
 )
 from posetmatrix.bounds import E_ESTIMATE_N_MAX
-from posetmatrix.family import cube_order, cube_swaps, occurrence_masks
-from posetmatrix.poset import builtin
+from posetmatrix.family import cube_order, cube_swaps, load_family_obj, occurrence_masks
+from posetmatrix.poset import builtin, load_poset_obj
 
 
 def test_erdos_bound_values():
@@ -150,6 +159,128 @@ def test_erdos_bound_values():
 )
 def test_library_integer_arguments_reject_floats_and_bools(call, message):
     with pytest.raises(InvariantError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+EMPTY = Poset((), ())
+# every 1 of a 2x2 lies in a full row and column, so only the weight shows
+# that it is no permutation matrix
+FULL_2X2 = HyperMatrix((2, 2), ((1, 1), (1, 2), (2, 1), (2, 2)))
+
+
+# an integer argument out of its range, or an object of the wrong shape: each
+# row fails once its guard is gone, as the call then raises another message
+# or none
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: la_exact(-1, chain(2), False), ValueError, "bad ground set size -1"),
+        (lambda: tardos_diamond_check(0), ValueError, "n must be positive"),
+        (lambda: weak_chain_coefficient(EMPTY), ValueError, "empty poset"),
+        (lambda: hasse_is_tree(EMPTY), ValueError, "empty poset"),
+        (lambda: height(EMPTY), ValueError, "empty poset"),
+        (lambda: dimension(EMPTY), ValueError, "empty poset"),
+        (lambda: realizer_to_matrix(EMPTY, Realizer(((),))), ValueError, "empty poset"),
+        (
+            lambda: binomial_shift_check(-1, 1),
+            ValueError,
+            "need n >= 0 and d >= 1, got n=-1 d=1",
+        ),
+        (
+            lambda: enumerate_partitions(-1, 1),
+            ValueError,
+            "need n >= 0 and d >= 1, got n=-1 d=1",
+        ),
+        (
+            lambda: count_partitions_with_prefix(3, 2, 4),
+            ValueError,
+            "need 0 <= f <= n, got f=4 n=3",
+        ),
+        (lambda: double_count_identity(SetFamily(2, (1,)), 0), ValueError, "d must be positive"),
+        (
+            lambda: load_family_obj([]),
+            InvariantError,
+            'family object shape: need "n" and "sets" keys',
+        ),
+        (
+            lambda: load_poset_obj([]),
+            InvariantError,
+            'poset object shape: need "elements" and "covers" keys',
+        ),
+        (lambda: identity_matrix(0), ValueError, "k and d must be positive"),
+        (
+            lambda: loomis_whitney_holds(identity_matrix(2, 1)),
+            ValueError,
+            "the projection inequality needs dimension >= 2",
+        ),
+        (
+            lambda: wide_block_limit(FULL_2X2, 2),
+            ValueError,
+            "the wide-block limit needs a permutation pattern",
+        ),
+        (
+            lambda: block_analyze(identity_matrix(4), FULL_2X2, 2),
+            ValueError,
+            "block analysis is defined against a permutation pattern",
+        ),
+        (
+            lambda: block_analyze(identity_matrix(4, 1), identity_matrix(2, 1), 2),
+            ValueError,
+            "block analysis needs dimension >= 2",
+        ),
+        (
+            lambda: block_analyze(identity_matrix(4), identity_matrix(2), 2).wide_count(3),
+            ValueError,
+            "axis 3 out of range",
+        ),
+        (
+            lambda: Poset(("a",), (2,)),
+            InvariantError,
+            "relation table range: mask bits outside the element range",
+        ),
+        # the labels are checked before the pairs: without that guard the
+        # unknown "z" is named, and with no pairs the constructor names "aa"
+        (
+            lambda: Poset.from_pairs("aa", [("a", "z")]),
+            InvariantError,
+            "distinct element labels: ('a', 'a')",
+        ),
+        (lambda: boolean_lattice(-1), ValueError, "m must be nonnegative"),
+        (
+            lambda: enumerate_patterns(chain(7)),
+            ValueError,
+            "pattern enumeration supports 1..6 elements",
+        ),
+    ],
+    ids=[
+        "la_exact",
+        "tardos_diamond_check",
+        "weak_chain_coefficient",
+        "hasse_is_tree",
+        "height",
+        "dimension",
+        "realizer_to_matrix",
+        "binomial_shift_check",
+        "enumerate_partitions",
+        "count_partitions_with_prefix",
+        "double_count_identity",
+        "load_family_obj",
+        "load_poset_obj",
+        "identity_matrix",
+        "loomis_whitney_holds",
+        "wide_block_limit",
+        "block_analyze-pattern",
+        "block_analyze-dimension",
+        "wide_count",
+        "Poset-range",
+        "from_pairs",
+        "boolean_lattice",
+        "enumerate_patterns",
+    ],
+)
+def test_library_refuses_out_of_range_and_shape(call, error, message):
+    with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
 

@@ -600,3 +600,13 @@ def test_closed_stdout_exits_quietly():
         proc.stdout.close()
         assert proc.wait(timeout=120) == 141
         assert proc.stderr.read() == b""
+
+
+def test_closed_stdout_exits_141_in_process(monkeypatch):
+    # as above, in this process: stdout is a pipe whose reader is gone, so
+    # the flush raises BrokenPipeError and `run` returns the SIGPIPE status
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["--no-cache", "verify", "countp"]) == 141

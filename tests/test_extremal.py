@@ -34,7 +34,7 @@ from posetmatrix import (
 )
 from posetmatrix.family import cube_order, cube_swaps, family_contains
 from posetmatrix.family import occurrence_masks as family_masks
-from posetmatrix.hypermatrix import occurrence_masks
+from posetmatrix.hypermatrix import box_swaps, occurrence_masks
 from posetmatrix.rng import make_rng
 
 from conftest import brute_contains, brute_family_contains, mat
@@ -197,7 +197,7 @@ def test_copy_tables_and_search_results_are_frozen(instance, length, digest, res
 def test_ex_search_results_are_frozen_under_axis_swaps(instance, result):
     _, dims, name = instance
     pats = enumerate_patterns(diamond(), 2) if name == "diamond set" else [identity_matrix(int(name[1]))]
-    swaps = extremal._box_swaps(dims, pats)
+    swaps = box_swaps(dims, pats)
     assert len(swaps) == 1
     assert extremal._mask_search(len(all_cells(dims)), occurrence_masks(dims, pats), swaps) == result
 
@@ -403,7 +403,7 @@ def test_ex_axis_swaps_are_symmetries(instance):
     cells = all_cells(dims)
     total = len(cells)
     masks = brute_copies(dims, pats)
-    swaps = extremal._box_swaps(dims, pats)
+    swaps = box_swaps(dims, pats)
     for sym in swaps:
         # an exchange of two equal axes that maps the copies onto themselves
         assert any(
@@ -428,7 +428,7 @@ def test_ex_axis_swaps_are_symmetries(instance):
     ((3, 3, 3), [identity_matrix(2, 3)], 2),  # axes 1, 2 and 2, 3
 ])
 def test_ex_axis_swaps_kept(dims, pats, kept):
-    assert len(extremal._box_swaps(dims, pats)) == kept
+    assert len(box_swaps(dims, pats)) == kept
 
 
 def test_ex_one_dim_full_patterns():

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +12,13 @@ from posetmatrix import (
     block_analyze,
     contains,
     dump_matrix,
+    ex_exact,
     identity_matrix,
     is_permutation_matrix,
     load_matrix,
     loomis_whitney_holds,
     projection,
+    random_free_matrix,
     wide_block_limit,
 )
 from posetmatrix import hypermatrix
@@ -142,6 +145,8 @@ def test_permutation_matrices():
     assert is_permutation_matrix(identity_matrix(3))
     assert is_permutation_matrix(HyperMatrix((2, 2), ((1, 2), (2, 1))))
     assert not is_permutation_matrix(mat("11", "00"))
+    # four 1s fill every row and column of a 2x2: only the weight tells
+    assert not is_permutation_matrix(mat("11", "11"))
     with pytest.raises(ValueError, match="cubic"):
         is_permutation_matrix(mat("10"))
     assert identity_matrix(2, 3).ones == ((1, 1, 1), (2, 2, 2))
@@ -188,6 +193,7 @@ def test_block_analysis_thin_and_ragged():
     assert rep.wide == {}
     assert sorted(rep.thin_blocks()) == [(1, 1), (2, 2), (3, 3)]
     assert rep.classify((1, 2)) == "empty"
+    assert rep.classify((1, 1)) == "thin"
     # the coarse matrix records only blocks that really hold a 1
     assert rep.coarse.ones == ((1, 1), (2, 2), (3, 3))
 
@@ -246,6 +252,62 @@ def test_matrix_file_round_trip(tmp_path):
 def test_all_cells_lex_order():
     cells = all_cells((2, 2))
     assert cells == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+LAYOUT_BOXES = [dims for d in (1, 2, 3) for dims in product(range(1, 5), repeat=d)]
+
+
+@pytest.mark.parametrize("dims", LAYOUT_BOXES, ids=str)
+def test_box_layout_matches_its_definitions(dims):
+    cells = all_cells(dims)
+    position = {c: i for i, c in enumerate(cells)}
+    layout = hypermatrix.box_layout(*dims)
+    assert list(layout.cells) == cells
+    assert [side for side, _, _ in layout.axes] == list(dims)
+    for j, (side, stride, first) in enumerate(layout.axes):
+        # one index up on axis j moves a cell `stride` positions on
+        for c in cells:
+            if c[j] < side:
+                up = c[:j] + (c[j] + 1,) + c[j + 1 :]
+                assert position[up] == position[c] + stride
+        assert first == sum(1 << i for i, c in enumerate(cells) if c[j] == 1)
+    # each axis pairs with the next axis of its length, if that is above 1
+    pairs = [
+        (i, next(j for j in range(i + 1, len(dims)) if dims[j] == n))
+        for i, n in enumerate(dims)
+        if n > 1 and n in dims[i + 1 :]
+    ]
+    assert len(layout.swaps) == len(pairs)
+    for (swap, sym), (i, j) in zip(layout.swaps, pairs):
+        for k, c in enumerate(cells):
+            swapped = list(c)
+            swapped[i], swapped[j] = c[j], c[i]
+            assert swap(c) == tuple(swapped)
+            assert sym[k] == position[tuple(swapped)]
+
+
+@pytest.mark.parametrize("dims, odd", [((2.0, 2), 2.0), ((True, 2), True), ((2, 2.0), 2.0), ((2, True), True)])
+def test_box_layout_cache_cannot_be_fooled(dims, odd):
+    # (2.0, 2) equals (2, 2) and (True, 2) equals (1, 2) as cache keys; once
+    # those boxes are laid out, the look-alikes are still refused, and
+    # `occurrence_masks` treats them as before any layout was cached: a
+    # float side is no range, and True is the side 1
+    pats = [identity_matrix(2)]
+    for box in ((2, 2), (1, 2), (2, 1)):
+        assert hypermatrix.occurrence_masks(box, pats) == ([9] if box == (2, 2) else [])
+    for refused in (
+        lambda: ex_exact(dims, pats),
+        lambda: random_free_matrix(dims, pats, make_rng(0, "layout")),
+    ):
+        with pytest.raises(InvariantError) as exc:
+            refused()
+        assert str(exc.value) == f"integer matrix side length: {odd!r}"
+    if odd is True:
+        assert hypermatrix.occurrence_masks(dims, pats) == []
+        assert hypermatrix.occurrence_masks(dims, [mat("1")]) == [1, 2]
+    else:
+        with pytest.raises(TypeError):
+            hypermatrix.occurrence_masks(dims, pats)
 
 
 # (dims, ones) breaking several rules at once -> the rule reported, and its message

@@ -27,7 +27,7 @@ def test_projection_sizes_match_projection_weights(box):
     ones = tuple(c for i, c in enumerate(all_cells(dims)) if kept >> i & 1)
     m = HyperMatrix(dims, ones)
     want = [projection(m, j).weight for j in range(1, len(dims) + 1)]
-    assert verify._projection_sizes(kept, verify._first_layers(dims)) == want
+    assert verify._projection_sizes(kept, hypermatrix.box_layout(*dims).axes) == want
 
 
 @pytest.mark.parametrize("seed", [0, 3])
