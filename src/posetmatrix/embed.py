@@ -7,9 +7,11 @@ the n-cube, the cells of a grid as unions of unary codes, or the principal
 down-sets of a poset.  `inclusion_tables` turns them into the bitmask tables
 sup[t] / sub[t] of the targets strictly above / below t, which the search
 reads; `columns`, the package's one bulk bit-column builder, supplies their
-per-element bitsets.  The source is a poset-like object exposing n and its up
-and down bitmasks.  Weak mode preserves relations one way (x < y forces image
-above image); induced mode preserves both relations and incomparabilities.
+per-element bitsets.  It transposes the rows in 8x8 bit blocks, all the
+blocks of a byte column in the same few big-int operations.  The source is
+a poset-like object exposing n and its up and down bitmasks.  Weak mode
+preserves relations one way (x < y forces image above image); induced mode
+preserves both relations and incomparabilities.
 
 Embeddings that differ by an automorphism of the source have the same image,
 so the search yields one per automorphism orbit, the lexicographically least
@@ -31,11 +33,13 @@ without building a tuple per embedding).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 
-
-# per bit k, a byte to the digit 1 if it has bit k set, else 0
-_DIGIT = [bytes(b"01"[v >> k & 1] for v in range(256)) for k in range(8)]
+# the delta-swap masks of an 8x8 bit transpose in one 64-bit word, for the
+# shifts 7, 14 and 28
+_M7, _M14, _M28 = 0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0
 
 
 def columns(rows, width: int) -> list[int]:
@@ -43,13 +47,39 @@ def columns(rows, width: int) -> list[int]:
     width, the bitset of the rows holding bit c, row 0 at the highest bit
     (row i of L at bit L-1-i).
 
-    Built in bulk: the rows side by side as little-endian bytes, per column
-    the stride slice of the byte holding its bit, each byte turned into the
-    digit 1 or 0 by a `bytes.translate` table, the digits read by
-    `int(..., 2)`."""
-    size = (width + 7) // 8
-    data = b"".join([r.to_bytes(size, "little") for r in rows])
-    return [int(data[c >> 3 :: size].translate(_DIGIT[c & 7]) or b"0", 2) for c in range(width)]
+    Built in bulk.  The rows, last first, are laid side by side as
+    little-endian bytes (8 per row from an `array('Q')` up to 64 bits, else
+    `int.to_bytes`).  Per byte column, one stride slice read as an int puts 8
+    rows x 8 bit columns in each 64-bit word; three masked delta swaps
+    transpose every word at once (Warren, Hacker's Delight, 2nd ed., §7-3),
+    after which byte k of each word holds bit column k of its 8 rows, and
+    that column is one more stride slice of the word bytes."""
+    if width <= 64:
+        laid = array("Q", rows)
+        laid.reverse()
+        if sys.byteorder == "big":
+            laid.byteswap()
+        data = laid.tobytes()
+        size = 8
+    else:
+        size = (width + 7) // 8
+        data = b"".join([r.to_bytes(size, "little") for r in reversed(rows)])
+    words = (len(data) // size + 7) // 8
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * words, "little")  # bit 0 of each word
+    m7, m14, m28 = _M7 * ones, _M14 * ones, _M28 * ones
+    frombytes = int.from_bytes
+    out = []
+    for c in range(0, width, 8):
+        x = frombytes(data[c >> 3 :: size], "little")
+        t = (x ^ x >> 7) & m7
+        x ^= t ^ t << 7
+        t = (x ^ x >> 14) & m14
+        x ^= t ^ t << 14
+        t = (x ^ x >> 28) & m28
+        x ^= t ^ t << 28
+        flat = x.to_bytes(8 * words, "little")
+        out += [frombytes(flat[k::8], "little") for k in range(min(8, width - c))]
+    return out
 
 
 def inclusion_tables(masks):

@@ -155,11 +155,14 @@ def occurrence_masks(n: int, p, induced: bool) -> list[int]:
     of members is an induced copy depends only on those members, so a family
     contains p exactly when some mask is a subset of its members.  The
     search yields one embedding per automorphism orbit of p, each as its
-    image bitset, so an induced copy comes once; weak embeddings from
-    different orbits can share an image, which is kept once.  The masks come
-    sorted, hence grouped by highest set.
+    image bitset.  An induced copy orders its members exactly like p, so
+    its embeddings are one orbit and it comes once: its images are sorted as
+    they are.  Weak embeddings from different orbits can share an image,
+    which is kept once.  The masks come sorted, hence grouped by highest
+    set.
     """
-    return sorted(set(order_images(p, cube_order(n), induced)))
+    images = order_images(p, cube_order(n), induced)
+    return sorted(images if induced else set(images))
 
 
 def lubell(fam: SetFamily) -> Fraction:

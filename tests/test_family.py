@@ -179,9 +179,11 @@ def naive_columns(rows, width):
 
 @st.composite
 def column_inputs(draw):
-    """A width of 0 to 40 bits and up to 30 rows below 2**width."""
-    width = draw(st.integers(0, 40))
-    return draw(st.lists(st.integers(0, (1 << width) - 1), max_size=30)), width
+    """A width of 0 to 140 bits and up to 200 rows below 2**width: rows laid
+    out as 64-bit array items and as `int.to_bytes`, over several 64-bit
+    words of 8 rows and a partial last word."""
+    width = draw(st.integers(0, 140))
+    return draw(st.lists(st.integers(0, (1 << width) - 1), max_size=200)), width
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -192,6 +194,11 @@ def column_inputs(draw):
 @example(([0, 0, 0], 13))  # all-zero rows
 @example(([1 << 16, 0b101, 1 << 16 | 1], 17))  # a width one past a whole byte
 @example(([255, 256, 0b11], 9))
+@example(([1 << i % 13 for i in range(8)], 13))  # one whole word of 8 rows
+@example(([1 << i % 13 for i in range(9)], 13))  # one row into a second word
+@example(([(1 << 64) - 1 - i for i in range(64)], 64))  # 8 whole words, rows as wide as an array item
+@example(([1 << i for i in range(65)], 65))  # one bit past an array item, one row past 8 words
+@example(([(1 << 128) - 1, 1 << 127, 1], 128))  # 16 whole byte columns
 def test_columns_match_the_naive_definition(case):
     rows, width = case
     assert columns(rows, width) == naive_columns(rows, width)
@@ -201,6 +208,10 @@ def test_columns_of_a_range():
     for n in range(6):
         assert columns(range(1 << n), n) == naive_columns(list(range(1 << n)), n)
         assert columns(range(1 << n)[::-1], n) == naive_columns(list(range(1 << n))[::-1], n)
+
+
+def test_columns_of_a_tuple():
+    assert columns(cube_order(4), 4) == naive_columns(list(cube_order(4)), 4)
 
 
 def test_inclusion_tables_match_pairwise_definition():
@@ -358,6 +369,21 @@ def test_order_embeddings_one_per_orbit(p, masks, induced):
 def test_cube_copies_are_the_images_of_every_injection(n, p, induced):
     want = {sum(1 << t for t in e) for e in brute_embeddings(p, cube_order(n), induced)}
     assert occurrence_masks(n, p, induced) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(antichain(3), id="antichain:3"),
+        pytest.param(diamond(), id="diamond"),
+        pytest.param(vee(2), id="vee:2"),
+        pytest.param(butterfly(), id="butterfly"),
+    ],
+)
+def test_induced_cube_copies_come_once(p):
+    # induced images are sorted with no dedupe: a repeat would show as a tie
+    masks = occurrence_masks(5, p, True)
+    assert masks and all(a < b for a, b in zip(masks, masks[1:]))
 
 
 def test_antichain_into_an_antichain_once():
