@@ -47,12 +47,14 @@ below the size of a free set already known moves no value or witness; only
 
 Both also share one solve path (`_solve`) around the search: the size cap,
 the optional on-disk cache, the one call of the search, and a re-check of
-every witness, fresh or cached.  Its one codec names each position by a
-label, a cell's coordinates for `ex` and a set's sorted elements for `la`:
-a cache entry is the value and the labels of the chosen positions, and is
-read back by looking each label up.  `ex_exact` and `la_exact` supply only
-their cache key, their labels, their problem (the masks, their symmetries
-and a floor) and a witness builder that re-checks what it builds.
+every witness, fresh or cached.  It works in positions: `ex_exact` and
+`la_exact` supply their problem, the search's whole argument tuple (the
+number of positions, the masks, their symmetries and a floor), and a
+witness builder that takes the chosen positions as a bitmask and re-checks
+what it builds.  Only under a cache are a cache key and a JSON label per
+position built (a cell's coordinates for `ex`, a set's sorted elements for
+`la`): a cache entry is the value and the labels of the chosen positions,
+and is read back by looking each label up.
 """
 
 from __future__ import annotations
@@ -131,15 +133,13 @@ def ex_exact(
         raise ValueError(f"bad dims {dims}")
     pats = _check_patterns(dims, patterns)
     total = prod(dims)
-    key = {
-        "kind": "ex",
-        "engine": ENGINE_VERSION,
-        "dims": list(dims),
-        "patterns": [a.to_obj() for a in pats],
-    }
 
-    def witness(ones) -> HyperMatrix:
-        host = HyperMatrix(dims, ones)
+    def key() -> dict:
+        return {"kind": "ex", "engine": ENGINE_VERSION, "dims": list(dims),
+                "patterns": [a.to_obj() for a in pats]}
+
+    def witness(chosen: int) -> HyperMatrix:
+        host = HyperMatrix(dims, _picked(box_layout(*dims).cells, chosen))
         if any(contains(host, a) for a in pats):
             raise RuntimeError("extremal witness contains a forbidden pattern")
         return host
@@ -147,7 +147,7 @@ def ex_exact(
     return ExResult(*_solve(
         key, cache, total, DEFAULT_CELL_CAP, f"{total} cells", allow_over_cap,
         lambda: box_layout(*dims).cells,
-        lambda: (occurrence_masks(dims, pats), box_swaps(dims, pats)),
+        lambda: (total, occurrence_masks(dims, pats), box_swaps(dims, pats)),
         witness,
     ))
 
@@ -166,23 +166,20 @@ def la_exact(
         raise ValueError(f"bad ground set size {n}")
     if p.n == 0:
         raise ValueError("the forbidden poset must be nonempty")
-    key = {
-        "kind": "la",
-        "engine": ENGINE_VERSION,
-        "n": n,
-        "poset": p.to_obj(),
-        "induced": induced,
-    }
 
-    def witness(sets) -> SetFamily:
-        fam = SetFamily.from_sets(n, sets)
+    def key() -> dict:
+        return {"kind": "la", "engine": ENGINE_VERSION, "n": n,
+                "poset": p.to_obj(), "induced": induced}
+
+    def witness(chosen: int) -> SetFamily:
+        fam = SetFamily(n, tuple(_picked(cube_order(n), chosen)))
         if family_contains(fam, p, induced):
             raise RuntimeError("family witness contains the forbidden poset")
         return fam
 
-    def problem() -> tuple[list[int], list[list[int]], int]:
+    def problem() -> tuple[int, list[int], list[list[int]], int]:
         masks = family_masks(n, p, induced)
-        return masks, cube_swaps(n), _la_incumbent(n, masks).bit_count() - 1
+        return 1 << n, masks, cube_swaps(n), _la_incumbent(n, masks).bit_count() - 1
 
     return LaResult(*_solve(
         key, cache, n, DEFAULT_LA_CAP, f"ground set size {n}", allow_over_cap,
@@ -223,12 +220,12 @@ def _solve(key, cache, size, cap, size_text, allow_over_cap, labels, problem, wi
     """(value, witness) for `ex_exact` and `la_exact`: the size cap, the
     cache and the witness check around their one search.
 
-    `labels()` lists a JSON label per position, `problem()` returns the
-    arguments of `_mask_search` over those positions after their number (the
-    sorted masks, their symmetries and optionally a floor), and
-    `witness(chosen)` builds the witness from the labels of the chosen
-    positions, raising RuntimeError if it holds a forbidden copy.  None of
-    them runs on an instance over the cap.
+    `problem()` returns the arguments of `_mask_search` (the number of
+    positions, the sorted masks, their symmetries and optionally a floor),
+    and `witness(chosen)` builds the witness from the bitmask of the chosen
+    positions, raising RuntimeError if it holds a forbidden copy.  Only a
+    cache calls `key()`, the entry's JSON key, and `labels()`, a JSON label
+    per position, each once.  None of them runs on an instance over the cap.
 
     A cache entry is the value and the chosen labels in position order.  An
     entry whose labels are not distinct known positions, whose value is not
@@ -241,31 +238,32 @@ def _solve(key, cache, size, cap, size_text, allow_over_cap, labels, problem, wi
             f"{size_text} exceeds the exact search cap ({cap}); "
             "pass allow_over_cap=True (CLI: --cap-override) to run anyway"
         )
-    labels = labels()
-    if cache is not None and (hit := cache.get(key)) is not None:
-        try:
-            index = {tuple(label): i for i, label in enumerate(labels)}
-            chosen = 0
-            for label in hit["witness"]:
-                chosen |= 1 << index[tuple(label)]
-            if chosen.bit_count() != len(hit["witness"]):
-                raise ValueError("cached witness repeats a position")
-            return _attained(json_int(hit["value"], "cached value"), chosen, labels, witness)
-        except _BAD_ENTRY:
-            pass
-    value, chosen = _mask_search(len(labels), *problem())
-    result = _attained(value, chosen, labels, witness)
+    if cache is not None:
+        key, labels = key(), labels()
+        if (hit := cache.get(key)) is not None:
+            try:
+                index = {tuple(label): i for i, label in enumerate(labels)}
+                chosen = 0
+                for label in hit["witness"]:
+                    chosen |= 1 << index[tuple(label)]
+                if chosen.bit_count() != len(hit["witness"]):
+                    raise ValueError("cached witness repeats a position")
+                return _attained(json_int(hit["value"], "cached value"), chosen, witness)
+            except _BAD_ENTRY:
+                pass
+    value, chosen = _mask_search(*problem())
+    result = _attained(value, chosen, witness)
     if cache is not None:
         cache.put(key, {"value": value, "witness": _picked(labels, chosen)})
     return result
 
 
-def _attained(value: int, chosen: int, labels, witness) -> tuple:
+def _attained(value: int, chosen: int, witness) -> tuple:
     """(value, witness) for the positions in bitmask `chosen`, which must
-    number `value`; `witness` re-checks what it builds."""
+    number `value`; `witness` builds from the bitmask and re-checks."""
     if chosen.bit_count() != value:
         raise RuntimeError("witness does not attain the reported value")
-    return value, witness(_picked(labels, chosen))
+    return value, witness(chosen)
 
 
 def _picked(labels, chosen: int) -> list:

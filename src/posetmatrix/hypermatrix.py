@@ -17,9 +17,10 @@ bits of its index-1 layer.  It also holds, for each axis, the swap with the
 next axis of the same length above 1, as a swap of coordinates and as a map
 of positions.  `box_swaps` keeps those under which a set of patterns maps
 onto itself; such a swap maps the box's copies (`occurrence_masks`) onto
-themselves, and the `ex` search takes them as symmetries.  The `ex` labels,
-the random sampler, `verify lw`, the prefix-union matrices and the pattern
-census read their cells or strides from the same layout.
+themselves, and the `ex` search takes them as symmetries.  The `ex`
+witnesses and cache labels, the random sampler, `verify lw`, the
+prefix-union matrices and the pattern census read their cells or strides
+from the same layout.
 """
 
 from __future__ import annotations

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from posetmatrix import cli, diamond, dimension, dump_matrix, ex_exact, extremal, identity_matrix, realizer_to_matrix
+from posetmatrix import (
+    cli,
+    diamond,
+    dimension,
+    dump_matrix,
+    enumerate_patterns,
+    ex_exact,
+    extremal,
+    identity_matrix,
+    realizer_to_matrix,
+)
 from posetmatrix.cache import ResultCache
 from posetmatrix.cli import build_parser, run
 from posetmatrix.verify import CHECKS
@@ -219,18 +229,41 @@ def test_bounds_command_stable_bytes(capsys):
     assert obj["chen_li_m1"] == "5/2"
 
 
-def test_cache_reuse_is_transparent(tmp_path, capsys):
-    pat = tmp_path / "id2.json"
-    dump_matrix(identity_matrix(2), pat)
-    argv = ["--cache-dir", str(tmp_path / "cache"), "ex", "--dims", "4,4", "--pattern", str(pat)]
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        pytest.param(("ex", "--dims", "4,4", "--pattern", "{pat}/id2.json"), id="ex-4x4-id2"),
+        # the ex and la commands of the benchmark's cli-session workload
+        pytest.param(("ex", "--dims", "4,5", "--pattern", "{pat}/id2.json"), id="ex-4x5-id2"),
+        pytest.param(("ex", "--dims", "4,4", "--pattern", "{pat}/id3.json"), id="ex-4x4-id3"),
+        pytest.param(("ex", "--dims", "2,2,3", "--pattern", "{pat}/id2-3d.json"), id="ex-2x2x3-id2"),
+        pytest.param(("ex", "--dims", "3,4", "--pattern-set", "{pat}/diamond"), id="ex-3x4-diamond-set"),
+        pytest.param(("la", "--n", "4", "--poset", "diamond"), id="la-4-diamond"),
+        pytest.param(("la", "--n", "4", "--poset", "vee:2", "--mode", "induced"), id="la-4-vee2-induced"),
+        pytest.param(("la", "--n", "4", "--poset", "butterfly", "--mode", "induced"), id="la-4-butterfly-induced"),
+    ],
+)
+def test_cache_reuse_is_transparent(tmp_path, capsys, cmd):
+    pat = tmp_path / "patterns"
+    (pat / "diamond").mkdir(parents=True)
+    dump_matrix(identity_matrix(2), pat / "id2.json")
+    dump_matrix(identity_matrix(3), pat / "id3.json")
+    dump_matrix(identity_matrix(2, 3), pat / "id2-3d.json")
+    for i, a in enumerate(enumerate_patterns(diamond(), 2)):
+        dump_matrix(a, pat / "diamond" / f"d{i:02d}.json")
+    argv = ["--cache-dir", str(tmp_path / "cache"), *(a.format(pat=pat) for a in cmd)]
     code1 = run(argv)
     cold = capsys.readouterr().out
     assert code1 == 0
     assert list((tmp_path / "cache").glob("*.json"))
+    [entry] = (tmp_path / "cache").glob("*.json")
+    stored = entry.read_bytes()
     code2 = run(argv)
     warm = capsys.readouterr().out
     assert code2 == 0
     assert cold == warm
+    # the hit is served as it is stored, not rewritten
+    assert entry.read_bytes() == stored
 
 
 def test_failed_cache_recheck_is_a_miss(tmp_path, capsys):

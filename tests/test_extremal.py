@@ -582,6 +582,42 @@ def test_cache_files_hold_the_chosen_labels(tmp_cache):
     }
 
 
+def test_solve_without_a_cache_builds_no_key_or_labels(monkeypatch):
+    # the key and the labels are the cache's JSON codec: a cache-free solve
+    # turns no pattern, poset or set into JSON
+    def no_codec(*args):
+        raise AssertionError("a cache-free solve built a key or labels")
+
+    monkeypatch.setattr(HyperMatrix, "to_obj", no_codec)
+    monkeypatch.setattr(Poset, "to_obj", no_codec)
+    monkeypatch.setattr(extremal, "elements", no_codec)
+    got = ex_exact((4, 4), [identity_matrix(2)]), la_exact(4, diamond(), True)
+    monkeypatch.undo()
+    assert got == (ex_exact((4, 4), [identity_matrix(2)]), la_exact(4, diamond(), True))
+    assert [r.value for r in got] == [7, 10]
+
+
+def test_la_entry_out_of_position_order_is_served_in_position_order(tmp_cache, monkeypatch):
+    # valid sets listed out of `cube_order` are a hit: the witness comes back
+    # in position order, as the search gives it, and the entry is not rewritten
+    cold = la_exact(3, diamond(), True, cache=tmp_cache)
+    [entry] = tmp_cache.root.glob("*.json")
+    record = json.loads(entry.read_text())
+    shuffled = sorted(record["witness"])
+    assert shuffled != record["witness"]
+    entry.write_text(json.dumps(dict(record, witness=shuffled)))
+    forged = entry.read_bytes()
+
+    def no_search(*args):
+        raise AssertionError("a cached instance was searched")
+
+    monkeypatch.setattr(extremal, "_mask_search", no_search)
+    warm = la_exact(3, diamond(), True, cache=tmp_cache)
+    assert warm == cold
+    assert json.dumps(warm.witness.to_obj()) == json.dumps(cold.witness.to_obj())
+    assert entry.read_bytes() == forged
+
+
 @pytest.mark.parametrize(
     "value, witness",
     [
