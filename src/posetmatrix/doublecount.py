@@ -24,7 +24,7 @@ from .embed import columns, order_embeddings
 from .family import SetFamily, elements
 from .hypermatrix import HyperMatrix, _match, box_layout
 from .poset import Poset, Realizer, realizer_to_matrix
-from .rng import make_rng
+from .rng import bernoulli_bits, make_rng
 
 PARTITION_CAP = 10_000_000
 
@@ -227,23 +227,34 @@ def _draw_trials(rng, trials: int, n: int, d: int, p: Poset):
     member of its first induced copy of p until there is none (the first
     cube copy holding no absent set, see `_cube_copies`); `perm`, a shuffled
     permutation of 1..n; and `marks`, the d-1 sorted bar positions among
-    n+d-1 slots that cut perm into d runs."""
+    n+d-1 slots that cut perm into d runs.
+
+    `keep` is one `bernoulli_bits` call, the bits of a `random() < 0.5` test
+    per mask in order.  The copies an absent set kills are ORed per group of
+    4 masks from a table over the group's 16 absence patterns."""
     copies, holding = _cube_copies(n, p)
     total = len(copies)
     full = (1 << total) - 1
-    random = rng.random
+    size = 1 << n
+    tables = []
+    for g in range(0, size, 4):
+        table = [0]
+        for held in holding[g : g + 4]:
+            table += [t | held for t in table]
+        tables.append(table)
+    spare = [full ^ held for held in holding]
     for _ in range(trials):
-        keep = dead = 0
-        for m in range(1 << n):
-            if random() < 0.5:
-                keep |= 1 << m
-            else:
-                dead |= holding[m]
+        keep = bernoulli_bits(rng, 0.5, size)
+        absent = keep ^ (1 << size) - 1
+        dead = 0
+        for table in tables:
+            dead |= table[absent & 15]
+            absent >>= 4
         live = full ^ dead
         while live:
             t = rng.choice(copies[total - live.bit_length()])
             keep ^= 1 << t
-            live &= full ^ holding[t]
+            live &= spare[t]
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         yield keep, perm, sorted(rng.sample(range(n + d - 1), d - 1))

@@ -245,29 +245,40 @@ def height(p: Poset) -> int:
 def linear_extensions(p: Poset):
     """All linear extensions as index tuples, lexicographic by index sequence.
 
-    Depth-first on an explicit stack: left[k] holds the untried minimal
-    elements of what seq[:k] leaves, the ones that can come k-th."""
-    n, up = p.n, p.up
-
-    def minimal(rest: int) -> int:
-        return rest & ~reduce(or_, (up[i] for i in range(n) if rest >> i & 1), 0)
-
+    Depth-first on an explicit stack: minimal[k] holds the minimal elements
+    of what seq[:k] leaves, and left[k] those of them not yet tried k-th.
+    An element is minimal once all its lower covers are placed; pending[j]
+    counts j's unplaced lower covers, so a step touches only the upper
+    covers of the element it places or takes back."""
+    upper: list[list[int]] = [[] for _ in range(p.n)]
+    pending = [0] * p.n
+    for i, j in p.covers:
+        upper[i].append(j)
+        pending[j] += 1
     seq: list[int] = []
-    rest = (1 << n) - 1
-    left = [minimal(rest)]
+    minimal = [sum(1 << j for j, count in enumerate(pending) if not count)]
+    left = minimal[:]
     while left:
-        if len(seq) == n:
+        if len(seq) == p.n:
             yield tuple(seq)
         if cand := left[-1]:
             low = cand & -cand
             left[-1] = cand ^ low
-            seq.append(low.bit_length() - 1)
-            rest ^= low
-            left.append(minimal(rest))
+            i = low.bit_length() - 1
+            seq.append(i)
+            free = minimal[-1] ^ low
+            for j in upper[i]:
+                pending[j] -= 1
+                if not pending[j]:
+                    free |= 1 << j
+            minimal.append(free)
+            left.append(free)
         else:
             left.pop()
+            minimal.pop()
             if seq:
-                rest |= 1 << seq.pop()
+                for j in upper[seq.pop()]:
+                    pending[j] += 1
 
 
 @dataclass(frozen=True)

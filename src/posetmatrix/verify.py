@@ -25,7 +25,7 @@ from .family import SetFamily, elements
 from .hypermatrix import _block_classes, _match, _wide_count
 from .hypermatrix import box_layout, identity_matrix, wide_block_limit
 from .poset import dimension, load_poset
-from .rng import make_rng
+from .rng import bernoulli_bits, make_rng
 
 
 def _report(check: str, failures: list, keep: int, trials=None) -> dict:
@@ -83,8 +83,8 @@ def _double_count(trials, seed) -> dict:
     rng = make_rng(seed, "verify:doublecount")
     for trial in range(trials):
         d = 2 + trial % 2
-        masks = tuple(m for m in range(16) if rng.random() < 0.5)
-        fam = SetFamily(4, masks)
+        bits = bernoulli_bits(rng, 0.5, 16)
+        fam = SetFamily(4, tuple(m for m in range(16) if bits >> m & 1))
         res = double_count_identity(fam, d)
         if not res.equal:
             failures.append({"n": 4, "d": d, "family": fam.to_obj()["sets"]})
@@ -107,17 +107,16 @@ def _projection_sizes(kept: int, layers) -> list[int]:
 def _projection_product(trials, seed) -> dict:
     """Random 3-dim matrices satisfy the projection product inequality,
     |M|^2 <= the product of the projections' weights.  A matrix is one
-    bitset over the cells; only a failure lists its 1s."""
+    bitset over the cells, drawn by one `bernoulli_bits` call per trial (the
+    bits of a `random() < density` test per cell); only a failure lists its 1s."""
     rng = make_rng(seed, "verify:lw")
     cells, layers, _ = box_layout(6, 6, 6)
-    bits = [1 << i for i in range(len(cells))]
-    random = rng.random
     failures = []
     for trial in range(trials):
         density = rng.uniform(0.02, 0.3)
-        kept = sum(bit for bit in bits if random() < density)
+        kept = bernoulli_bits(rng, density, len(cells))
         if kept.bit_count() ** 2 > prod(_projection_sizes(kept, layers)):
-            ones = [list(c) for c, bit in zip(cells, bits) if kept & bit]
+            ones = [list(c) for i, c in enumerate(cells) if kept >> i & 1]
             failures.append({"trial": trial, "ones": ones})
     return _report("projection-product", failures, 3, trials)
 

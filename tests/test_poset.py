@@ -309,6 +309,26 @@ def test_linear_extensions_of_a_long_chain():
     assert next(gen, None) is None
 
 
+def extensions_by_minimal_sets(p: Poset):
+    """The listing by definition: depth-first, at each step trying each
+    minimal element of the unplaced ones, lowest index first."""
+
+    def extend(seq, rest):
+        if not rest:
+            yield tuple(seq)
+        for i in range(p.n):
+            if rest >> i & 1 and not p.down[i] & rest:
+                yield from extend(seq + [i], rest ^ 1 << i)
+
+    return list(extend([], (1 << p.n) - 1))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(shuffled_posets())
+def test_linear_extensions_match_the_definition(p):
+    assert list(linear_extensions(p)) == extensions_by_minimal_sets(p)
+
+
 def test_dimension_known_values():
     for k in range(1, 5):
         t, r = dimension(chain(k))

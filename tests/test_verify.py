@@ -1,4 +1,5 @@
 import json
+import random
 from math import prod
 
 import pytest
@@ -9,7 +10,7 @@ from posetmatrix import HyperMatrix, PermutationPartition, SetFamily, all_cells,
 from posetmatrix import block_analyze, identity_matrix, random_free_matrix
 from posetmatrix import hypermatrix, verify
 from posetmatrix.cli import run
-from posetmatrix.rng import make_rng
+from posetmatrix.rng import bernoulli_bits, make_rng
 
 
 @st.composite
@@ -28,6 +29,27 @@ def test_projection_sizes_match_projection_weights(box):
     m = HyperMatrix(dims, ones)
     want = [projection(m, j).weight for j in range(1, len(dims) + 1)]
     assert verify._projection_sizes(kept, hypermatrix.box_layout(*dims).axes) == want
+
+
+# p: 0, 1 and their neighbours, each k/256 and one 2**-53 step either side
+# of it (where a draw's top byte ties with the threshold's), and any float
+probabilities = (
+    st.sampled_from([0.0, 2**-53, 0.5, 1 - 2**-53, 1.0])
+    | st.builds(
+        lambda k, step: min(max(k / 256 + step * 2**-53, 0.0), 1.0),
+        st.integers(0, 256),
+        st.sampled_from([-1, 0, 1]),
+    )
+    | st.floats(0.0, 1.0)
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.integers(0, 2**64 - 1), probabilities, st.sampled_from([0, 1, 16, 32, 64, 216]))
+def test_bernoulli_bits_are_the_random_loop(seed, p, count):
+    rng, twin = random.Random(seed), random.Random(seed)
+    assert bernoulli_bits(rng, p, count) == sum(1 << i for i in range(count) if twin.random() < p)
+    assert rng.getstate() == twin.getstate()
 
 
 @pytest.mark.parametrize("seed", [0, 3])
